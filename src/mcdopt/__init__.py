@@ -6,7 +6,7 @@ a seeded benchmark suite over the separability/modality axes, and an
 experiment harness with deterministic CSV, JSON and SVG reporting.
 """
 
-from . import baselines, benchfns, cli, harness, mcd, svgplot
+from . import baselines, benchfns, harness, mcd, svgplot
 from .core import (
     Box,
     BudgetedEvaluator,
@@ -16,6 +16,7 @@ from .core import (
     InsufficientBudget,
     MissingOptimum,
     NoEvaluations,
+    NonFiniteValue,
     Objective,
     OptimizationError,
     OutOfBox,
@@ -34,12 +35,12 @@ __all__ = [
     "InsufficientBudget",
     "MissingOptimum",
     "NoEvaluations",
+    "NonFiniteValue",
     "Objective",
     "OptimizationError",
     "OutOfBox",
     "baselines",
     "benchfns",
-    "cli",
     "error_of",
     "harness",
     "mcd",

@@ -88,6 +88,12 @@ def _init_population(pop_size: int, ev: BudgetedEvaluator,
     return population
 
 
+def _donor_table(n: int) -> np.ndarray:
+    """An (n, n-1) index table whose row i lists every index except i, in order."""
+    columns = np.arange(n - 1)
+    return columns + (columns >= np.arange(n)[:, None])
+
+
 def _generation_on(population: list[Candidate], coords: np.ndarray,
                    context: Optional[np.ndarray], cfg: DEConfig,
                    ev: BudgetedEvaluator, rng: np.random.Generator) -> bool:
@@ -104,13 +110,12 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
     box = ev.objective.box
     n = len(population)
     k = coords.size
-    indices = np.arange(n)
+    donors = _donor_table(n)
     lo = box.lower[coords]
     hi = box.upper[coords]
     f_low, f_high = cfg.f_range
     for i in range(n):
-        others = np.delete(indices, i)
-        r1, r2, r3 = rng.choice(others, size=3, replace=False)
+        r1, r2, r3 = rng.choice(donors[i], size=3, replace=False)
         scale = rng.uniform(f_low, f_high)
         mutant = (population[r1].position[coords]
                   + scale * (population[r2].position[coords]
@@ -118,7 +123,8 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
         mask = rng.random(k) <= cfg.cr
         mask[int(rng.integers(k))] = True
         sub = np.where(mask, mutant, population[i].position[coords])
-        np.clip(sub, lo, hi, out=sub)
+        np.maximum(sub, lo, out=sub)
+        np.minimum(sub, hi, out=sub)
         base = context if context is not None else population[i].position
         point = base.copy()
         point[coords] = sub
@@ -253,14 +259,10 @@ def run_cc(objective, max_nfe: int, seed: int, cfg: Optional[CCConfig] = None,
     ev = evaluator if evaluator is not None else BudgetedEvaluator(objective, max_nfe)
     if ev.remaining < 1:
         raise InsufficientBudget("evaluator has no budget left")
-    init_rng = named_stream(seed, "cc-init")
-    gen_rng = named_stream(seed, "cc-gen")
-    population = _init_population(cfg.pop_size, ev, init_rng)
-    if len(population) < cfg.pop_size or ev.remaining == 0:
+    state = cc_init(cfg, ev, named_stream(seed, "cc-init"))
+    if len(state.population) < cfg.pop_size or ev.remaining == 0:
         return RunResult(best=ev.best.copy(), used_nfe=ev.used_nfe, trace=list(ev.trace))
-    best = ev.best.copy()
-    state = CCState(population=population, best=best,
-                    last_anchor=best.position.copy())
+    gen_rng = named_stream(seed, "cc-gen")
     while ev.remaining > 0 and not state.exhausted:
         cc_cycle(state, cfg, ev, gen_rng)
     return RunResult(best=ev.best.copy(), used_nfe=ev.used_nfe, trace=list(ev.trace))

@@ -66,6 +66,10 @@ class BenchFunction:
         for unrotated functions.
     """
 
+    # evaluate() rejects out-of-box positions itself, so BudgetedEvaluator
+    # does not check them a second time
+    checks_bounds = True
+
     def __init__(self, name: str, base: str, category: str, dim: int,
                  shift, groups=None, seed: int = 0):
         if dim < 1:
@@ -100,7 +104,6 @@ class BenchFunction:
             raise OutOfBox(f"{self.name}: position outside the function bounds")
         z = x - self.shift
         if self.groups:
-            z = z.copy()
             for idx, rot in self.groups:
                 z[idx] = rot @ z[idx]
         return self._base_value(z)
@@ -166,11 +169,6 @@ def make_suite(dim: int, seed: int) -> list[BenchFunction]:
     if dim < 2:
         raise ValueError("the suite needs dim of at least 2")
     return [make_function(name, dim, seed) for name in SUITE_NAMES]
-
-
-def eval_bench(fn: BenchFunction, x) -> float:
-    """Evaluate a suite function at a raw position (no budget accounting)."""
-    return fn.evaluate(x)
 
 
 def _optimum_hash(fn: BenchFunction) -> str:

@@ -8,6 +8,7 @@ bound checking live in exactly one place.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,6 +25,10 @@ class BudgetExhausted(OptimizationError):
 
 class OutOfBox(OptimizationError):
     """A position violates the bounds of the search box."""
+
+
+class NonFiniteValue(OptimizationError):
+    """The objective returned NaN, which no value can be ranked against."""
 
 
 class MissingOptimum(OptimizationError):
@@ -77,6 +82,15 @@ class Box:
         self.lower = lower
         self.upper = upper
 
+    @classmethod
+    def _trusted(cls, lower: np.ndarray, upper: np.ndarray) -> "Box":
+        """Wrap bounds the caller owns and knows to be valid, without copying
+        or checking them again."""
+        box = cls.__new__(cls)
+        box.lower = lower
+        box.upper = upper
+        return box
+
     @property
     def dim(self) -> int:
         return self.lower.size
@@ -92,7 +106,7 @@ class Box:
         p = np.asarray(position, dtype=float)
         if p.shape != self.lower.shape:
             return False
-        return bool(np.all(p >= self.lower) and np.all(p <= self.upper))
+        return bool((p >= self.lower).all() and (p <= self.upper).all())
 
     def copy(self) -> "Box":
         return Box(self.lower, self.upper)
@@ -145,6 +159,11 @@ class BudgetedEvaluator:
     Also tracks the best point seen and an improvement trace: one
     (nfe, best_value) entry per strict improvement, so the nfe column is
     strictly increasing and the value column strictly decreasing.
+
+    Positions outside the objective's box raise OutOfBox and NaN values raise
+    NonFiniteValue; neither is charged or recorded. An objective whose class
+    sets `checks_bounds = True` raises OutOfBox from its own `evaluate`, so
+    its positions are checked there instead of twice.
     """
 
     def __init__(self, objective, max_nfe: int):
@@ -155,6 +174,7 @@ class BudgetedEvaluator:
         self.used_nfe = 0
         self.best: Optional[Candidate] = None
         self.trace: list[tuple[int, float]] = []
+        self._check_bounds = not getattr(objective, "checks_bounds", False)
 
     @property
     def remaining(self) -> int:
@@ -164,9 +184,11 @@ class BudgetedEvaluator:
         if self.used_nfe >= self.max_nfe:
             raise BudgetExhausted(f"evaluation budget of {self.max_nfe} already spent")
         p = np.asarray(position, dtype=float)
-        if not self.objective.box.contains(p):
+        if self._check_bounds and not self.objective.box.contains(p):
             raise OutOfBox("position lies outside the objective bounds")
         value = float(self.objective.evaluate(p))
+        if math.isnan(value):
+            raise NonFiniteValue("objective returned NaN")
         self.used_nfe += 1
         if self.best is None or value < self.best.value:
             self.best = Candidate(p.copy(), value)

@@ -355,29 +355,45 @@ def _read_results(out_dir: str) -> list[dict]:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
             raw_rows = list(reader)
+            header = reader.fieldnames or []
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    missing = [column for column in RESULT_COLUMNS if column not in header]
+    if missing:
+        raise ConfigError(f"{path}: missing columns {', '.join(missing)}")
     rows = []
-    for raw in raw_rows:
-        rows.append({
-            "algorithm": raw["algorithm"],
-            "function": raw["function"],
-            "dim": int(raw["dim"]),
-            "seed": int(raw["seed"]),
-            "max_nfe": int(raw["max_nfe"]),
-            "used_nfe": int(raw["used_nfe"]),
-            "final_error": float(raw["final_error"]),
-            "wall_ms": raw["wall_ms"],
-        })
+    for line, raw in enumerate(raw_rows, start=2):
+        try:
+            rows.append({
+                "algorithm": raw["algorithm"],
+                "function": raw["function"],
+                "dim": int(raw["dim"]),
+                "seed": int(raw["seed"]),
+                "max_nfe": int(raw["max_nfe"]),
+                "used_nfe": int(raw["used_nfe"]),
+                "final_error": float(raw["final_error"]),
+                "wall_ms": raw["wall_ms"],
+            })
+        except (TypeError, ValueError):
+            # a short row leaves None in its missing fields
+            raise ConfigError(f"{path}, line {line}: cannot parse row") from None
     return rows
 
 
 def _read_trace(out_dir: str, algorithm: str, function: str, seed: int):
     path = os.path.join(out_dir, "traces", _trace_filename(algorithm, function, seed))
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)  # header
-        return [(int(nfe), float(value)) for nfe, value in reader]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            if next(reader, None) != ["nfe", "best_value"]:
+                raise ConfigError(f"{path}: expected the header nfe,best_value")
+            return [(int(nfe), float(value)) for nfe, value in reader]
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except (ValueError, csv.Error):
+        raise ConfigError(f"{path}: cannot parse trace rows") from None
 
 
 def report_from_dir(out_dir: str) -> ExperimentReport:

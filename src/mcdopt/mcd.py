@@ -95,17 +95,17 @@ def roi_step(state: SearchState, i: int, ev: BudgetedEvaluator) -> tuple[Candida
     lo = state.box.lower[i]
     hi = state.box.upper[i]
     quarter = (hi - lo) / 4.0
+    # x and y always hold the same point; the winner is shared by x, y and s
+    # because the next step copies it before writing
     px = state.x.position.copy()
-    py = state.y.position.copy()
+    py = px.copy()
     px[i] = lo + quarter
     py[i] = hi - quarter
     f_x = ev(px)
     f_y = ev(py)
     keep_lower = f_x < f_y
     winner = Candidate(px if keep_lower else py, min(f_x, f_y))
-    state.x = winner.copy()
-    state.y = winner.copy()
-    state.s = winner
+    state.x = state.y = state.s = winner
     state.last_probe = (px, py, f_x, f_y)
     return winner, keep_lower
 
@@ -128,7 +128,8 @@ def fold(box: Box, i: int, keep_lower: bool) -> Box:
         upper[i] = mid
     else:
         lower[i] = mid
-    return Box(lower, upper)
+    # lo < mid < hi was checked above, so the new bounds stay strictly ordered
+    return Box._trusted(lower, upper)
 
 
 @dataclass(eq=False)

@@ -7,6 +7,7 @@ from mcdopt.baselines import (
     CCConfig,
     CCState,
     DEConfig,
+    _donor_table,
     _generation_on,
     _init_population,
     cc_cycle,
@@ -189,6 +190,19 @@ class TestDeGeneration:
         ev(np.zeros(2))
         with pytest.raises(InsufficientBudget):
             run_de(obj, 1, seed=0, evaluator=ev)
+
+
+@pytest.mark.parametrize("n", [4, 5, 50])
+def test_donor_table_draws_match_per_individual_pools(n):
+    table = _donor_table(n)
+    assert table.shape == (n, n - 1)
+    table_rng = named_stream(8, "donors")
+    pool_rng = named_stream(8, "donors")
+    for draw in range(2000):
+        i = draw % n
+        picked = table_rng.choice(table[i], size=3, replace=False)
+        expected = pool_rng.choice(np.delete(np.arange(n), i), size=3, replace=False)
+        assert np.array_equal(picked, expected)
 
 
 class TestDeltaUpdate:

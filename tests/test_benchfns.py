@@ -9,13 +9,12 @@ from mcdopt.benchfns import (
     BOX_LOW,
     BenchFunction,
     SUITE_NAMES,
-    eval_bench,
     group_size,
     make_function,
     make_suite,
     suite_manifest,
 )
-from mcdopt.core import OutOfBox
+from mcdopt.core import BudgetedEvaluator, OutOfBox
 
 
 class TestSuiteStructure:
@@ -91,46 +90,46 @@ class TestValues:
     def test_optimum_value_small_everywhere(self):
         for dim in (2, 10):
             for fn in make_suite(dim, 5):
-                assert abs(eval_bench(fn, fn.optimum_position)) <= 1e-9
+                assert abs(fn.evaluate(fn.optimum_position)) <= 1e-9
 
     def test_sphere_at_unit_offsets(self):
         fn = BenchFunction("sphere", "sphere", "separable-unimodal", 4, np.zeros(4))
-        assert eval_bench(fn, [1.0, 1.0, 1.0, 1.0]) == 4.0
+        assert fn.evaluate([1.0, 1.0, 1.0, 1.0]) == 4.0
 
     def test_elliptic_condition_number(self):
         fn = BenchFunction("elliptic", "elliptic", "separable-unimodal", 4, np.zeros(4))
         unit = np.zeros(4)
         unit[0] = 1.0
-        assert eval_bench(fn, unit) == 1.0
+        assert fn.evaluate(unit) == 1.0
         unit = np.zeros(4)
         unit[3] = 1.0
-        assert eval_bench(fn, unit) == 1e6
+        assert fn.evaluate(unit) == 1e6
 
     def test_rastrigin_known_points(self):
         fn = BenchFunction("rastrigin", "rastrigin", "separable-multimodal", 2, np.zeros(2))
-        assert eval_bench(fn, [0.0, 0.0]) == 0.0
+        assert fn.evaluate([0.0, 0.0]) == 0.0
         # cos(2*pi) == 1 at integer offsets, leaving the quadratic term
-        assert abs(eval_bench(fn, [1.0, 0.0]) - 1.0) < 1e-9
+        assert abs(fn.evaluate([1.0, 0.0]) - 1.0) < 1e-9
 
     def test_ackley_zero_at_origin(self):
         fn = BenchFunction("ackley", "ackley", "separable-multimodal", 3, np.zeros(3))
-        assert abs(eval_bench(fn, [0.0, 0.0, 0.0])) <= 1e-9
-        assert eval_bench(fn, [10.0, -10.0, 10.0]) > 15.0
+        assert abs(fn.evaluate([0.0, 0.0, 0.0])) <= 1e-9
+        assert fn.evaluate([10.0, -10.0, 10.0]) > 15.0
 
     def test_rosenbrock_known_points(self):
         fn = BenchFunction("rosenbrock", "rosenbrock", "fully-nonseparable", 2, np.zeros(2))
-        assert eval_bench(fn, [0.0, 0.0]) == 0.0
+        assert fn.evaluate([0.0, 0.0]) == 0.0
         # shifted base coordinates (2, 2): 100*(2-4)^2 + (1-2)^2
-        assert eval_bench(fn, [1.0, 1.0]) == 401.0
+        assert fn.evaluate([1.0, 1.0]) == 401.0
 
     def test_schwefel12_double_sum(self):
         fn = BenchFunction("schwefel12", "schwefel12", "fully-nonseparable", 2, np.zeros(2))
-        assert eval_bench(fn, [1.0, 1.0]) == 5.0
+        assert fn.evaluate([1.0, 1.0]) == 5.0
 
     def test_out_of_box_rejected(self):
         fn = make_function("sphere", 3, 0)
         with pytest.raises(OutOfBox):
-            eval_bench(fn, [0.0, 101.0, 0.0])
+            fn.evaluate([0.0, 101.0, 0.0])
 
     def test_identity_rotation_degeneracy(self):
         grouped = make_function("elliptic-group", 8, 6)
@@ -144,7 +143,32 @@ class TestValues:
         rng = np.random.default_rng(31)
         for _ in range(20):
             x = rng.uniform(BOX_LOW, BOX_HIGH, size=8)
-            assert eval_bench(identity, x) == eval_bench(plain, x)
+            assert identity.evaluate(x) == plain.evaluate(x)
+
+
+class TestThroughEvaluator:
+    """The evaluator leaves bounds checks on suite functions to `evaluate`."""
+
+    @pytest.mark.parametrize("dim", [2, 10, 100])
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_values_equal_direct_evaluation(self, name, dim):
+        fn = make_function(name, dim, 4)
+        rng = np.random.default_rng(dim)
+        points = list(rng.uniform(BOX_LOW, BOX_HIGH, size=(20, dim)))
+        points += [np.full(dim, BOX_LOW), np.full(dim, BOX_HIGH),
+                   np.where(np.arange(dim) % 2 == 0, BOX_LOW, BOX_HIGH)]
+        ev = BudgetedEvaluator(fn, len(points))
+        for x in points:
+            assert ev(x).hex() == fn.evaluate(x).hex()
+        assert ev.used_nfe == len(points)
+
+    @pytest.mark.parametrize("position", [
+        [0.0, 100.5, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    def test_bad_positions_rejected_without_spending(self, position):
+        ev = BudgetedEvaluator(make_function("rastrigin-group", 3, 0), 5)
+        with pytest.raises(OutOfBox):
+            ev(position)
+        assert ev.used_nfe == 0 and ev.best is None
 
 
 def _with_coordinate(x, j, t):
@@ -162,21 +186,21 @@ class TestSeparability:
             fn = make_function(name, 6, 3)
             a = rng.uniform(BOX_LOW, BOX_HIGH, size=6)
             b = rng.uniform(BOX_LOW, BOX_HIGH, size=6)
-            scale = max(1.0, abs(eval_bench(fn, a)), abs(eval_bench(fn, b)))
+            scale = max(1.0, abs(fn.evaluate(a)), abs(fn.evaluate(b)))
             for j in range(6):
                 for t1, t2 in ((-75.0, -10.0), (0.0, 42.0), (99.0, -33.0)):
-                    da = (eval_bench(fn, _with_coordinate(a, j, t1))
-                          - eval_bench(fn, _with_coordinate(a, j, t2)))
-                    db = (eval_bench(fn, _with_coordinate(b, j, t1))
-                          - eval_bench(fn, _with_coordinate(b, j, t2)))
+                    da = (fn.evaluate(_with_coordinate(a, j, t1))
+                          - fn.evaluate(_with_coordinate(a, j, t2)))
+                    db = (fn.evaluate(_with_coordinate(b, j, t1))
+                          - fn.evaluate(_with_coordinate(b, j, t2)))
                     assert abs(da - db) <= 1e-9 * scale
 
     def _interaction(self, fn, x, i, j, delta=1.0):
         di = _with_coordinate(x, i, x[i] + delta)
         dj = _with_coordinate(x, j, x[j] + delta)
         dij = _with_coordinate(di, j, x[j] + delta)
-        return (eval_bench(fn, dij) - eval_bench(fn, di)
-                - eval_bench(fn, dj) + eval_bench(fn, x))
+        return (fn.evaluate(dij) - fn.evaluate(di)
+                - fn.evaluate(dj) + fn.evaluate(x))
 
     def test_rotated_groups_couple_coordinates(self):
         for name in ("elliptic-group", "rastrigin-group"):

@@ -1,5 +1,7 @@
 """Tests for the shared domain types: boxes, evaluators, error metric."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,14 @@ from mcdopt.core import (
     Candidate,
     MissingOptimum,
     NoEvaluations,
+    NonFiniteValue,
     Objective,
     OutOfBox,
     error_of,
     named_stream,
 )
 
-from helpers import sphere_objective
+from helpers import Recorder, sphere_objective
 
 
 class TestBox:
@@ -144,6 +147,43 @@ class TestBudgetedEvaluator:
         with pytest.raises(OutOfBox):
             ev([2.0, 0.0])
         assert ev.used_nfe == 0
+
+    def test_duck_typed_objective_is_checked_before_it_is_called(self):
+        recorder = Recorder(sphere_objective(2, low=-1.0, high=1.0))
+        ev = BudgetedEvaluator(recorder, 5)
+        with pytest.raises(OutOfBox):
+            ev([2.0, 0.0])
+        assert recorder.calls == [] and ev.used_nfe == 0
+
+    def test_nan_first_value_rejected_without_spending(self):
+        values = iter([math.nan, 1.0, 0.5])
+        ev = BudgetedEvaluator(Objective(lambda p: next(values), Box([-1.0], [1.0])), 5)
+        with pytest.raises(NonFiniteValue):
+            ev([0.0])
+        assert ev.used_nfe == 0 and ev.best is None and ev.trace == []
+        ev([0.0])
+        ev([0.0])
+        assert ev.trace == [(1, 1.0), (2, 0.5)]
+        assert ev.best.value == 0.5
+
+    def test_nan_later_value_leaves_best_and_trace(self):
+        values = iter([1.0, math.nan, 0.5])
+        ev = BudgetedEvaluator(Objective(lambda p: next(values), Box([-1.0], [1.0])), 5)
+        ev([0.0])
+        with pytest.raises(NonFiniteValue):
+            ev([0.5])
+        assert ev.used_nfe == 1 and ev.trace == [(1, 1.0)]
+        assert ev.best.value == 1.0 and ev.best.position[0] == 0.0
+        ev([0.0])
+        assert ev.trace == [(1, 1.0), (2, 0.5)]
+
+    def test_infinite_values_are_ordered(self):
+        values = iter([math.inf, 1.0, -math.inf, 0.0])
+        ev = BudgetedEvaluator(Objective(lambda p: next(values), Box([-1.0], [1.0])), 5)
+        for _ in range(4):
+            ev([0.0])
+        assert ev.used_nfe == 4
+        assert ev.trace == [(1, math.inf), (2, 1.0), (3, -math.inf)]
 
     def test_best_position_is_detached(self):
         ev = BudgetedEvaluator(sphere_objective(1), 5)

@@ -405,6 +405,33 @@ class TestCli:
     def test_report_on_missing_directory(self, tmp_path):
         assert cli.main(["report", "--in", str(tmp_path / "nowhere")]) == 2
 
+    @pytest.mark.parametrize("damage", [
+        "missing trace", "results header", "results number", "trace number"])
+    def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
+        config = _mini_config(tmp_path / "out")
+        config.algorithms = ["de"]
+        config.functions = ["sphere"]
+        config.repeats = 1
+        run_grid(config)
+        out = tmp_path / "out"
+        results = out / "results.csv"
+        trace = out / "traces" / "de__sphere__seed11.csv"
+        if damage == "missing trace":
+            os.remove(trace)
+        elif damage == "results header":
+            text = _read_bytes(results).decode()
+            _write(results, text.replace("algorithm,", "algo,", 1))
+        elif damage == "results number":
+            lines = _read_bytes(results).decode().splitlines()
+            fields = lines[1].split(",")
+            fields[6] = "not-a-number"
+            _write(results, "\n".join([lines[0], ",".join(fields)]) + "\n")
+        else:
+            text = _read_bytes(trace).decode()
+            _write(trace, text + "121,oops\n")
+        assert cli.main(["report", "--in", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_suite_dim_too_small(self, tmp_path):
         assert cli.main(["suite", "--dim", "1",
                          "--manifest", str(tmp_path / "m.json")]) == 2
