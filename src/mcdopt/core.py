@@ -1,8 +1,10 @@
 """Shared domain types: search boxes, candidates, budget-counted evaluation.
 
 Everything downstream (the optimizers, the benchmark suite, the experiment
-harness) talks to objectives through these types, so budget fairness and
-bound checking live in exactly one place.
+harness) talks to objectives through these types, so budget fairness lives
+in exactly one place. Bounds are checked once per evaluation: by
+`BudgetedEvaluator`, or by the objective's own `evaluate` when its class
+sets `checks_bounds = True` (as `BenchFunction` does).
 """
 
 from __future__ import annotations
@@ -81,15 +83,6 @@ class Box:
             raise ValueError("every lower bound must lie strictly below its upper bound")
         self.lower = lower
         self.upper = upper
-
-    @classmethod
-    def _trusted(cls, lower: np.ndarray, upper: np.ndarray) -> "Box":
-        """Wrap bounds the caller owns and knows to be valid, without copying
-        or checking them again."""
-        box = cls.__new__(cls)
-        box.lower = lower
-        box.upper = upper
-        return box
 
     @property
     def dim(self) -> int:

@@ -19,8 +19,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -120,16 +120,28 @@ class ExperimentConfig:
     cc_groups: int = 10
 
 
-_REQUIRED_KEYS = ("algorithms", "dim", "max_nfe")
+def _parse_bool(value: str) -> bool:
+    lowered = value.lower()
+    if lowered not in ("true", "false"):
+        raise ValueError(value)
+    return lowered == "true"
 
-_INT_KEYS = ("dim", "max_nfe", "max_iter", "repeats", "base_seed", "suite_seed",
-             "de_pop_size", "cc_pop_size", "cc_groups")
-_FLOAT_KEYS = ("tie_epsilon",)
-_BOOL_KEYS = ("record_timing",)
-_LIST_KEYS = ("algorithms", "functions")
-_STR_KEYS = ("output_dir",)
-_KNOWN_KEYS = set(_INT_KEYS) | set(_FLOAT_KEYS) | set(_BOOL_KEYS) \
-    | set(_LIST_KEYS) | set(_STR_KEYS) | {"trace_grid"}
+
+_PARSERS = {
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    str: str,
+    list[str]: lambda value: [item.strip() for item in value.split(",") if item.strip()],
+    list[int]: lambda value: [int(item) for item in value.split(",") if item.strip()],
+}
+
+# the config schema is ExperimentConfig itself: one parser per field type,
+# and the fields without a default are the required keys
+_FIELD_PARSERS = {name: _PARSERS[kind]
+                  for name, kind in get_type_hints(ExperimentConfig).items()}
+_REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig)
+                  if f.default is MISSING and f.default_factory is MISSING]
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -144,7 +156,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {number}: unknown key '{key}'")
         if key in raw:
             raise ConfigError(f"line {number}: duplicate key '{key}'")
@@ -157,21 +169,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     data: dict = {}
     for key, value in raw.items():
         try:
-            if key in _INT_KEYS:
-                data[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                data[key] = float(value)
-            elif key in _BOOL_KEYS:
-                lowered = value.lower()
-                if lowered not in ("true", "false"):
-                    raise ValueError(value)
-                data[key] = lowered == "true"
-            elif key in _LIST_KEYS:
-                data[key] = [item.strip() for item in value.split(",") if item.strip()]
-            elif key == "trace_grid":
-                data[key] = [int(item) for item in value.split(",") if item.strip()]
-            else:
-                data[key] = value
+            data[key] = _FIELD_PARSERS[key](value)
         except ValueError:
             raise ConfigError(f"key '{key}': cannot parse value '{value}'") from None
 
@@ -218,6 +216,10 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("trace_grid checkpoints must be positive")
     if config.trace_grid != sorted(config.trace_grid):
         raise ConfigError("trace_grid checkpoints must be ascending")
+    if any(g > config.max_nfe for g in config.trace_grid):
+        raise ConfigError("trace_grid checkpoints must not exceed max_nfe")
+    if not math.isfinite(config.tie_epsilon) or config.tie_epsilon < 0.0:
+        raise ConfigError("tie_epsilon must be a finite number of at least 0")
     if "mcd" in config.algorithms:
         needed = 2 * config.dim * config.max_iter
         if config.max_nfe < needed:
@@ -320,7 +322,6 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
                     for nfe, value in trace:
                         writer.writerow([nfe, repr(value)])
 
-    rows.sort(key=lambda r: (r["algorithm"], r["function"], r["seed"]))
     with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8",
               newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -396,6 +397,10 @@ def _read_trace(out_dir: str, algorithm: str, function: str, seed: int):
         raise ConfigError(f"{path}: cannot parse trace rows") from None
 
 
+# meta.json keys that report_from_dir reads without a default
+_META_KEYS = ("dim", "max_nfe", "repeats", "trace_grid")
+
+
 def report_from_dir(out_dir: str) -> ExperimentReport:
     """Build summary.json and the per-function charts from the files in
     `out_dir`, returning the aggregate report."""
@@ -405,6 +410,14 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
             meta = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read {meta_path}: {exc}") from None
+    except ValueError as exc:
+        # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
+        raise ConfigError(f"{meta_path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{meta_path}: expected a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ConfigError(f"{meta_path}: missing keys {', '.join(missing)}")
     grid = meta["trace_grid"]
     tie_epsilon = meta.get("tie_epsilon", 0.0)
 

@@ -58,12 +58,6 @@ def restart_plan(dim: int, max_iter: int, max_nfe: int) -> RestartPlan:
                        r_max=max_nfe // per_restart)
 
 
-def init_center(box: Box) -> tuple[Candidate, Candidate]:
-    """Two identical candidates at the center of the box, not yet evaluated."""
-    center = box.midpoint()
-    return Candidate(center.copy()), Candidate(center.copy())
-
-
 def draw_permutation(dim: int, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random ordering of the dimension indices 0 .. dim-1."""
     if dim < 1:
@@ -71,65 +65,42 @@ def draw_permutation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(dim)
 
 
-@dataclass(eq=False)
-class SearchState:
-    """Mutable state of one restart: the folded box and the working points."""
+def roi_step(box: Box, x: np.ndarray, i: int, ev: BudgetedEvaluator) -> tuple:
+    """Bisect dimension i: evaluate the centers of both halves of its interval.
 
-    box: Box
-    x: Candidate
-    y: Candidate
-    s: Optional[Candidate] = None
-    perm: Optional[np.ndarray] = None
-    iteration: int = 0
-    # probe bookkeeping for the most recent step: (x_pos, y_pos, f_x, f_y)
-    last_probe: Optional[tuple] = None
-
-
-def roi_step(state: SearchState, i: int, ev: BudgetedEvaluator) -> tuple[Candidate, bool]:
-    """Bisect dimension i: evaluate both half-interval centers, keep the winner.
-
-    Spends exactly two evaluations. The lower half wins only on a strictly
-    better value; an exact tie keeps the upper half. Both working points and
-    the running solution collapse onto the winner afterwards.
+    The probes are copies of the working point `x` with coordinate i moved to
+    a half-interval center; `x` and `box` are left as they are. Spends exactly
+    two evaluations and returns the probe record (px, py, f_x, f_y,
+    keep_lower). The lower half wins only on a strictly better value; an
+    exact tie keeps the upper half.
     """
-    lo = state.box.lower[i]
-    hi = state.box.upper[i]
+    lo = box.lower[i]
+    hi = box.upper[i]
     quarter = (hi - lo) / 4.0
-    # x and y always hold the same point; the winner is shared by x, y and s
-    # because the next step copies it before writing
-    px = state.x.position.copy()
-    py = px.copy()
+    px = x.copy()
+    py = x.copy()
     px[i] = lo + quarter
     py[i] = hi - quarter
     f_x = ev(px)
     f_y = ev(py)
-    keep_lower = f_x < f_y
-    winner = Candidate(px if keep_lower else py, min(f_x, f_y))
-    state.x = state.y = state.s = winner
-    state.last_probe = (px, py, f_x, f_y)
-    return winner, keep_lower
+    return px, py, f_x, f_y, f_x < f_y
 
 
-def fold(box: Box, i: int, keep_lower: bool) -> Box:
-    """Halve dimension i of the box, keeping the lower or the upper half.
+def fold(box: Box, i: int, keep_lower: bool) -> None:
+    """Halve dimension i of the box in place, keeping the lower or upper half.
 
     When the midpoint is no longer representable strictly between the bounds
-    (the width has reached floating-point resolution) the box is returned
+    (the width has reached floating-point resolution) the box is left
     unchanged and that dimension simply stops shrinking.
     """
     lo = box.lower[i]
     hi = box.upper[i]
     mid = lo + (hi - lo) / 2.0
-    if mid <= lo or mid >= hi:
-        return box.copy()
-    lower = box.lower.copy()
-    upper = box.upper.copy()
-    if keep_lower:
-        upper[i] = mid
-    else:
-        lower[i] = mid
-    # lo < mid < hi was checked above, so the new bounds stay strictly ordered
-    return Box._trusted(lower, upper)
+    if lo < mid < hi:
+        if keep_lower:
+            box.upper[i] = mid
+        else:
+            box.lower[i] = mid
 
 
 @dataclass(eq=False)
@@ -192,26 +163,26 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
 
     for r in range(plan.r_max):
         box = original.copy()
-        x, y = init_center(box)
+        x = box.midpoint()
         if permutations is not None:
             perm = np.array(permutations[r], dtype=int)
             if sorted(perm.tolist()) != list(range(dim)):
                 raise ValueError(f"restart {r}: not a permutation of 0..{dim - 1}")
         else:
             perm = draw_permutation(dim, perm_rng)
-        state = SearchState(box=box, x=x, y=y, perm=perm)
         for it in range(max_iter):
-            for i in perm:
-                i = int(i)
-                _, keep_lower = roi_step(state, i, ev)
-                state.box = fold(state.box, i, keep_lower)
+            for i in perm.tolist():
+                probe = roi_step(box, x, i, ev)
+                px, py, f_x, f_y, keep_lower = probe
+                fold(box, i, keep_lower)
+                # roi_step never writes to x, so the step record may share it
+                x = px if keep_lower else py
                 if steps is not None:
-                    px, py, f_x, f_y = state.last_probe
-                    steps.append(StepRecord(r, it, i, px, py, f_x, f_y, keep_lower))
-            state.iteration = it + 1
+                    steps.append(StepRecord(r, it, i, *probe))
         # compare restart winners on cached values only, no extra evaluation
-        if restart_best is None or state.s.value < restart_best.value:
-            restart_best = state.s
+        value = min(f_x, f_y)
+        if restart_best is None or value < restart_best.value:
+            restart_best = Candidate(x, value)
 
     return RunOutcome(best=ev.best.copy(), restart_best=restart_best, plan=plan,
                       used_nfe=ev.used_nfe, trace=list(ev.trace), steps=steps)

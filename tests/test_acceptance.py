@@ -13,7 +13,7 @@ from mcdopt.baselines import DEConfig, _init_population, de_generation, delta_gr
 from mcdopt.benchfns import make_suite
 from mcdopt.core import Box, BudgetedEvaluator, Objective, named_stream
 from mcdopt.harness import ExperimentConfig, compute_iar, run_grid, run_single, tally_wtl
-from mcdopt.mcd import fold, init_center, roi_step, run, SearchState
+from mcdopt.mcd import fold, roi_step, run
 
 from helpers import Recorder, chunked_by_delta, fold_1d, sphere_objective, straight_line_descent
 
@@ -84,15 +84,16 @@ def test_geometric_shrinkage():
         shift = lower + 0.37 * (upper - lower)
         obj = Objective(lambda p: float((p - shift) @ (p - shift)), box)
         ev = BudgetedEvaluator(obj, 2 * dim * 10)
-        x, y = init_center(box)
-        state = SearchState(box=box.copy(), x=x, y=y)
+        work = box.copy()
+        x = work.midpoint()
         original = box.width
         for k in range(1, 11):
             for i in range(dim):
-                _, keep_lower = roi_step(state, i, ev)
-                state.box = fold(state.box, i, keep_lower)
+                px, py, _, _, keep_lower = roi_step(work, x, i, ev)
+                fold(work, i, keep_lower)
+                x = px if keep_lower else py
             expected = original / 2.0 ** k
-            assert np.all(np.abs(state.box.width - expected) <= 1e-12 * expected)
+            assert np.all(np.abs(work.width - expected) <= 1e-12 * expected)
     print("PASS geometric shrinkage: widths halve per pass for D in {1, 3, 50}, "
           "k up to 10, within relative 1e-12")
 

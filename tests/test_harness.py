@@ -163,6 +163,20 @@ class TestConfigParsing:
             parse_config_text(
                 "algorithms = de\ndim = 4\nmax_nfe = 99\ntrace_grid = 20, 10\n")
 
+    def test_trace_grid_beyond_budget(self):
+        with pytest.raises(ConfigError):
+            parse_config_text(
+                "algorithms = de\ndim = 4\nmax_nfe = 99\ntrace_grid = 50, 100\n")
+        config = parse_config_text(
+            "algorithms = de\ndim = 4\nmax_nfe = 99\ntrace_grid = 50, 99\n")
+        assert config.trace_grid == [50, 99]
+
+    @pytest.mark.parametrize("value", ["-0.01", "nan", "inf", "-inf"])
+    def test_bad_tie_epsilon(self, value):
+        with pytest.raises(ConfigError):
+            parse_config_text(
+                f"algorithms = de\ndim = 4\nmax_nfe = 99\ntie_epsilon = {value}\n")
+
     def test_budget_too_small_for_fold_runs(self):
         text = "algorithms = mcd\ndim = 10\nmax_nfe = 100\nmax_iter = 10\n"
         with pytest.raises(InsufficientBudget):
@@ -406,7 +420,8 @@ class TestCli:
         assert cli.main(["report", "--in", str(tmp_path / "nowhere")]) == 2
 
     @pytest.mark.parametrize("damage", [
-        "missing trace", "results header", "results number", "trace number"])
+        "missing trace", "results header", "results number", "trace number",
+        "meta json", "meta key", "meta not object"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
         config.algorithms = ["de"]
@@ -416,6 +431,7 @@ class TestCli:
         out = tmp_path / "out"
         results = out / "results.csv"
         trace = out / "traces" / "de__sphere__seed11.csv"
+        meta = out / "meta.json"
         if damage == "missing trace":
             os.remove(trace)
         elif damage == "results header":
@@ -426,9 +442,17 @@ class TestCli:
             fields = lines[1].split(",")
             fields[6] = "not-a-number"
             _write(results, "\n".join([lines[0], ",".join(fields)]) + "\n")
-        else:
+        elif damage == "trace number":
             text = _read_bytes(trace).decode()
             _write(trace, text + "121,oops\n")
+        elif damage == "meta json":
+            _write(meta, "{oops")
+        elif damage == "meta not object":
+            _write(meta, "null")
+        else:
+            fields = json.loads(_read_bytes(meta))
+            del fields["trace_grid"]
+            _write(meta, json.dumps(fields))
         assert cli.main(["report", "--in", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
 

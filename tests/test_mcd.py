@@ -6,10 +6,8 @@ import pytest
 from mcdopt.core import Box, BudgetedEvaluator, InsufficientBudget, Objective, named_stream
 from mcdopt.mcd import (
     RestartPlan,
-    SearchState,
     draw_permutation,
     fold,
-    init_center,
     restart_plan,
     roi_step,
     run,
@@ -47,28 +45,46 @@ class TestRestartPlan:
 
 
 class TestInitCenter:
+    """Every restart starts from the box midpoint, which is never evaluated."""
+
     def test_symmetric_box(self):
         box = Box(np.full(4, -100.0), np.full(4, 100.0))
-        x, y = init_center(box)
-        assert np.array_equal(x.position, np.zeros(4))
-        assert np.array_equal(y.position, np.zeros(4))
-        assert x.value is None and y.value is None
+        assert np.array_equal(box.midpoint(), np.zeros(4))
 
     def test_asymmetric_box(self):
         box = Box([0.0, -100.0], [100.0, 100.0])
-        x, y = init_center(box)
-        assert np.array_equal(x.position, [50.0, 0.0])
+        assert np.array_equal(box.midpoint(), [50.0, 0.0])
 
     def test_large_box(self):
         box = Box(np.full(1000, -100.0), np.full(1000, 100.0))
-        x, _ = init_center(box)
-        assert np.array_equal(x.position, np.zeros(1000))
+        assert np.array_equal(box.midpoint(), np.zeros(1000))
 
     def test_candidates_are_detached(self):
         box = Box([0.0], [2.0])
-        x, y = init_center(box)
-        x.position[0] = 9.0
-        assert y.position[0] == 1.0
+        x = box.midpoint()
+        x[0] = 9.0
+        assert box.midpoint()[0] == 1.0
+
+    def test_first_probe_of_every_restart_is_at_the_center(self):
+        obj = sphere_objective(4, shift=np.array([10.0, -20.0, 30.0, -40.0]))
+        outcome = run(obj, max_iter=1, max_nfe=24, seed=2, record_steps=True)
+        assert outcome.plan.r_max == 3
+        assert outcome.used_nfe == 2 * len(outcome.steps)
+        for r in range(3):
+            first = [s for s in outcome.steps if s.restart == r][0]
+            i = first.dim_index
+            off = [j for j in range(4) if j != i]
+            assert np.array_equal(first.x_position[off], np.zeros(3))
+            assert np.array_equal(first.y_position[off], np.zeros(3))
+            assert first.x_position[i] == -50.0 and first.y_position[i] == 50.0
+
+    def test_asymmetric_first_probe(self):
+        box = Box([0.0, -100.0], [100.0, 100.0])
+        obj = Objective(lambda p: float(p @ p), box)
+        outcome = run(obj, max_iter=1, max_nfe=4, seed=0, permutations=[[1, 0]],
+                      record_steps=True)
+        assert outcome.steps[0].x_position.tolist() == [50.0, -50.0]
+        assert outcome.steps[0].y_position.tolist() == [50.0, 50.0]
 
 
 class TestDrawPermutation:
@@ -92,11 +108,6 @@ class TestDrawPermutation:
             draw_permutation(0, named_stream(0, "perm"))
 
 
-def _state_at_center(box):
-    x, y = init_center(box)
-    return SearchState(box=box, x=x, y=y)
-
-
 class TestRoiStep:
     def test_lower_half_wins(self):
         # values scripted by position of the probed coordinate
@@ -104,40 +115,55 @@ class TestRoiStep:
         obj = Objective(lambda p: table[p[0]],
                         Box(np.full(4, -100.0), np.full(4, 100.0)))
         ev = BudgetedEvaluator(obj, 2)
-        state = _state_at_center(obj.box)
-        winner, keep_lower = roi_step(state, 0, ev)
+        px, py, f_x, f_y, keep_lower = roi_step(obj.box, obj.box.midpoint(), 0, ev)
         assert keep_lower is True
-        assert np.array_equal(winner.position, [-50.0, 0.0, 0.0, 0.0])
-        assert winner.value == 10.0
+        assert np.array_equal(px, [-50.0, 0.0, 0.0, 0.0])
+        assert f_x == 10.0
+        assert f_y == 20.0
         assert ev.used_nfe == 2
 
     def test_upper_half_wins(self):
         obj = Objective(lambda p: (p[0] - 60.0) ** 2, Box([0.0], [100.0]))
         ev = BudgetedEvaluator(obj, 2)
-        state = _state_at_center(obj.box)
-        winner, keep_lower = roi_step(state, 0, ev)
+        px, py, f_x, f_y, keep_lower = roi_step(obj.box, obj.box.midpoint(), 0, ev)
         assert keep_lower is False
-        assert winner.position[0] == 75.0
-        assert winner.value == 225.0
+        assert py[0] == 75.0
+        assert f_y == 225.0
 
     def test_tie_keeps_upper(self):
         obj = sphere_objective(1)
         ev = BudgetedEvaluator(obj, 2)
-        state = _state_at_center(obj.box)
-        winner, keep_lower = roi_step(state, 0, ev)
+        px, py, f_x, f_y, keep_lower = roi_step(obj.box, obj.box.midpoint(), 0, ev)
         # f(-50) == f(50) == 2500, strict-less branch selects the upper probe
         assert keep_lower is False
-        assert winner.position[0] == 50.0
-        assert winner.value == 2500.0
+        assert py[0] == 50.0
+        assert f_x == f_y == 2500.0
+
+    def test_working_point_and_box_untouched(self):
+        obj = Objective(lambda p: (p[0] - 60.0) ** 2 + p[1] ** 2,
+                        Box([0.0, -4.0], [100.0, 4.0]))
+        ev = BudgetedEvaluator(obj, 2)
+        x = np.array([50.0, 1.5])
+        px, py, _, _, _ = roi_step(obj.box, x, 0, ev)
+        assert x.tolist() == [50.0, 1.5]
+        assert obj.box.lower.tolist() == [0.0, -4.0]
+        assert obj.box.upper.tolist() == [100.0, 4.0]
+        assert px.tolist() == [25.0, 1.5] and py.tolist() == [75.0, 1.5]
 
     def test_state_collapses_onto_winner(self):
-        obj = Objective(lambda p: (p[0] - 60.0) ** 2, Box([0.0], [100.0]))
-        ev = BudgetedEvaluator(obj, 2)
-        state = _state_at_center(obj.box)
-        winner, _ = roi_step(state, 0, ev)
-        assert np.array_equal(state.x.position, winner.position)
-        assert np.array_equal(state.y.position, winner.position)
-        assert state.s.value == winner.value
+        # the working point collapses onto the winner: the next step probes
+        # around it, differing from it only in the newly probed coordinate
+        obj = sphere_objective(3, shift=np.array([17.0, -41.0, 66.0]))
+        outcome = run(obj, max_iter=3, max_nfe=18, seed=9, record_steps=True)
+        for prev, step in zip(outcome.steps, outcome.steps[1:]):
+            winner = prev.x_position if prev.keep_lower else prev.y_position
+            off = [j for j in range(3) if j != step.dim_index]
+            assert np.array_equal(step.x_position[off], winner[off])
+            assert np.array_equal(step.y_position[off], winner[off])
+        last = outcome.steps[-1]
+        winner = last.x_position if last.keep_lower else last.y_position
+        assert np.array_equal(outcome.restart_best.position, winner)
+        assert outcome.restart_best.value == min(last.f_x, last.f_y)
 
     def test_winner_value_is_min_of_probes(self):
         rng = np.random.default_rng(17)
@@ -145,52 +171,54 @@ class TestRoiStep:
             shift = rng.uniform(-80.0, 80.0, size=3)
             obj = sphere_objective(3, shift=shift)
             ev = BudgetedEvaluator(obj, 2)
-            state = _state_at_center(obj.box)
-            winner, _ = roi_step(state, int(rng.integers(3)), ev)
-            px, py, f_x, f_y = state.last_probe
-            assert winner.value == min(f_x, f_y)
-            assert (np.array_equal(winner.position, px)
-                    or np.array_equal(winner.position, py))
+            i = int(rng.integers(3))
+            px, py, f_x, f_y, keep_lower = roi_step(obj.box, obj.box.midpoint(), i, ev)
+            assert keep_lower == (f_x < f_y)
+            assert (f_x if keep_lower else f_y) == min(f_x, f_y)
 
 
 class TestFold:
     def test_keep_lower(self):
         box = Box([-100.0], [100.0])
-        folded = fold(box, 0, True)
-        assert folded.lower[0] == -100.0 and folded.upper[0] == 0.0
+        fold(box, 0, True)
+        assert box.lower[0] == -100.0 and box.upper[0] == 0.0
 
     def test_keep_upper(self):
         box = Box([-100.0], [100.0])
-        folded = fold(box, 0, False)
-        assert folded.lower[0] == 0.0 and folded.upper[0] == 100.0
+        fold(box, 0, False)
+        assert box.lower[0] == 0.0 and box.upper[0] == 100.0
 
     def test_offset_interval(self):
-        folded = fold(Box([50.0], [100.0]), 0, True)
-        assert folded.lower[0] == 50.0 and folded.upper[0] == 75.0
+        box = Box([50.0], [100.0])
+        fold(box, 0, True)
+        assert box.lower[0] == 50.0 and box.upper[0] == 75.0
 
     def test_other_dimensions_untouched(self):
         box = Box([0.0, -8.0], [10.0, 8.0])
-        folded = fold(box, 0, False)
-        assert folded.lower[1] == -8.0 and folded.upper[1] == 8.0
+        fold(box, 0, False)
+        assert box.lower[1] == -8.0 and box.upper[1] == 8.0
 
-    def test_original_box_unchanged(self):
+    def test_folds_in_place(self):
         box = Box([-100.0], [100.0])
-        fold(box, 0, True)
-        assert box.upper[0] == 100.0
+        lower, upper = box.lower, box.upper
+        assert fold(box, 0, True) is None
+        assert box.lower is lower and box.upper is upper
+        assert upper[0] == 0.0
 
     def test_width_exactly_halved(self):
-        box = Box([-3.0, 7.0], [5.0, 9.0])
         for i in (0, 1):
             for keep_lower in (True, False):
-                folded = fold(box, i, keep_lower)
-                assert folded.width[i] == box.width[i] / 2.0
+                box = Box([-3.0, 7.0], [5.0, 9.0])
+                before = box.width
+                fold(box, i, keep_lower)
+                assert box.width[i] == before[i] / 2.0
 
     def test_resolution_floor_stops_folding(self):
         # midpoint of [1, 1 + 2^-52] rounds back onto the lower bound
         box = Box([1.0], [1.0 + 2.0 ** -52])
-        folded = fold(box, 0, True)
-        assert folded.lower[0] == box.lower[0]
-        assert folded.upper[0] == box.upper[0]
+        fold(box, 0, True)
+        assert box.lower[0] == 1.0
+        assert box.upper[0] == 1.0 + 2.0 ** -52
 
 
 def _worked_objective():
@@ -300,6 +328,13 @@ class TestRun:
         # the sphere is separable, so the third restart's final winner agrees
         third = [s for s in outcome.steps if s.restart == 2]
         assert min(third[-1].f_x, third[-1].f_y) == outcome.restart_best.value
+
+    def test_objective_box_never_folded(self):
+        # each restart folds its own copy of the box in place
+        obj = sphere_objective(3)
+        run(obj, max_iter=3, max_nfe=36, seed=1)
+        assert obj.box.lower.tolist() == [-100.0] * 3
+        assert obj.box.upper.tolist() == [100.0] * 3
 
     def test_pinned_permutations_validation(self):
         obj = sphere_objective(2)
