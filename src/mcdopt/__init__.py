@@ -12,7 +12,6 @@ from .core import (
     BudgetedEvaluator,
     BudgetExhausted,
     Candidate,
-    DimensionMismatch,
     InsufficientBudget,
     MissingOptimum,
     NoEvaluations,
@@ -31,7 +30,6 @@ __all__ = [
     "BudgetedEvaluator",
     "BudgetExhausted",
     "Candidate",
-    "DimensionMismatch",
     "InsufficientBudget",
     "MissingOptimum",
     "NoEvaluations",

@@ -17,7 +17,6 @@ from .core import (
     BudgetedEvaluator,
     BudgetExhausted,
     Candidate,
-    DimensionMismatch,
     InsufficientBudget,
     named_stream,
 )
@@ -156,18 +155,9 @@ def run_de(objective, max_nfe: int, seed: int, cfg: Optional[DEConfig] = None,
     init_rng = named_stream(seed, "de-init")
     gen_rng = named_stream(seed, "de-gen")
     population = _init_population(cfg.pop_size, ev, init_rng)
-    while ev.remaining > 0 and len(population) == cfg.pop_size:
+    while ev.remaining > 0:
         de_generation(population, cfg, ev, gen_rng)
     return RunResult(best=ev.best.copy(), used_nfe=ev.used_nfe, trace=list(ev.trace))
-
-
-def delta_update(prev_best: Candidate, curr_best: Candidate) -> np.ndarray:
-    """Coordinate-wise absolute movement of the best solution between cycles."""
-    a = np.asarray(prev_best.position, dtype=float)
-    b = np.asarray(curr_best.position, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"positions have shapes {a.shape} and {b.shape}")
-    return np.abs(b - a)
 
 
 def delta_grouping(deltas, num_groups: int) -> list[np.ndarray]:
@@ -190,64 +180,49 @@ def delta_grouping(deltas, num_groups: int) -> list[np.ndarray]:
 
 @dataclass(eq=False)
 class CCState:
-    """Population, context vector and grouping history between cycles.
+    """Population and grouping anchor between cycles.
 
-    `prev_anchor` and `last_anchor` are the two most recent snapshots of the
-    best position (taken after initialization and after each cycle); their
-    coordinate-wise movement drives the grouping of the next cycle.
+    `anchor` is the best position at the start of the previous cycle (the
+    initial best before the first cycle). The evaluator holds the current
+    best, so each cycle groups coordinates by how far the best moved since
+    `anchor`.
     """
 
     population: list[Candidate]
-    best: Candidate
-    last_anchor: np.ndarray
-    prev_anchor: Optional[np.ndarray] = None
-    cycle: int = 0
+    anchor: np.ndarray
     last_groups: Optional[list[np.ndarray]] = None
-    exhausted: bool = False
 
 
 def cc_init(cfg: CCConfig, ev: BudgetedEvaluator, rng: np.random.Generator) -> CCState:
-    """Evaluate a fresh uniform population and snapshot the initial best."""
+    """Evaluate a fresh uniform population and anchor on the initial best."""
     population = _init_population(cfg.pop_size, ev, rng)
     if not population:
         raise InsufficientBudget("budget died before any individual was evaluated")
-    best = ev.best.copy()
-    return CCState(population=population, best=best,
-                   last_anchor=best.position.copy())
+    return CCState(population=population, anchor=ev.best.position.copy())
 
 
 def cc_cycle(state: CCState, cfg: CCConfig, ev: BudgetedEvaluator,
              rng: np.random.Generator) -> CCState:
     """One co-evolutionary cycle: regroup, then one DE generation per group.
 
-    The first cycle uses plain index-order groups; afterwards groups follow
-    the best solution's movement across the two latest cycle boundaries
-    (largest movement first). Each trial is completed through the context
-    vector: the current global best supplies every coordinate outside the
-    group. The context is refreshed after each group finishes.
+    Groups follow the best solution's coordinate-wise movement since
+    `state.anchor`, largest movement first; in the first cycle nothing has
+    moved, so the index tie-break gives contiguous groups. The anchor then
+    moves to the current best. Each trial is completed through the context
+    vector: the global best at the start of the group supplies every
+    coordinate outside the group.
     """
     dim = ev.objective.box.dim
     if cfg.num_groups > dim:
         raise ValueError(f"num_groups {cfg.num_groups} exceeds dimension {dim}")
-    if state.cycle == 0 or state.prev_anchor is None:
-        # all-zero deltas sort by the index tie-break: contiguous index order
-        groups = delta_grouping(np.zeros(dim), cfg.num_groups)
-    else:
-        groups = delta_grouping(np.abs(state.last_anchor - state.prev_anchor),
-                                cfg.num_groups)
+    groups = delta_grouping(np.abs(ev.best.position - state.anchor), cfg.num_groups)
+    state.anchor = ev.best.position.copy()
     state.last_groups = groups
     inner = DEConfig(pop_size=cfg.pop_size, cr=cfg.cr, f_range=(cfg.f, cfg.f))
     for group in groups:
-        completed = _generation_on(state.population, group, state.best.position,
-                                   inner, ev, rng)
-        if ev.best is not None:
-            state.best = ev.best.copy()
-        if not completed:
-            state.exhausted = True
+        if not _generation_on(state.population, group, ev.best.position,
+                              inner, ev, rng):
             break
-    state.prev_anchor = state.last_anchor
-    state.last_anchor = state.best.position.copy()
-    state.cycle += 1
     return state
 
 
@@ -260,9 +235,7 @@ def run_cc(objective, max_nfe: int, seed: int, cfg: Optional[CCConfig] = None,
     if ev.remaining < 1:
         raise InsufficientBudget("evaluator has no budget left")
     state = cc_init(cfg, ev, named_stream(seed, "cc-init"))
-    if len(state.population) < cfg.pop_size or ev.remaining == 0:
-        return RunResult(best=ev.best.copy(), used_nfe=ev.used_nfe, trace=list(ev.trace))
     gen_rng = named_stream(seed, "cc-gen")
-    while ev.remaining > 0 and not state.exhausted:
+    while ev.remaining > 0:
         cc_cycle(state, cfg, ev, gen_rng)
     return RunResult(best=ev.best.copy(), used_nfe=ev.used_nfe, trace=list(ev.trace))

@@ -1,7 +1,8 @@
 """Command-line entry point: run experiment grids, rebuild reports, export
 suite manifests.
 
-Exit codes: 0 on success, 2 on config errors, 3 on budget misconfiguration.
+Exit codes: 0 on success, 2 on config errors and on files that cannot be
+read or written (any OSError), 3 on budget misconfiguration.
 """
 
 from __future__ import annotations
@@ -78,6 +79,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientBudget as exc:
         print(f"budget error: {exc}", file=sys.stderr)

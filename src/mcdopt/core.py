@@ -45,10 +45,6 @@ class InsufficientBudget(OptimizationError):
     """The evaluation budget cannot fund even one unit of planned work."""
 
 
-class DimensionMismatch(OptimizationError):
-    """Two vectors that must share a dimension do not."""
-
-
 def named_stream(seed: int, name: str) -> np.random.Generator:
     """Return a dedicated random generator for the pair (seed, stream name).
 

@@ -115,9 +115,9 @@ class ExperimentConfig:
     output_dir: str = "results"
     record_timing: bool = False
     tie_epsilon: float = 0.0
-    de_pop_size: int = 50
-    cc_pop_size: int = 50
-    cc_groups: int = 10
+    de_pop_size: int = DEConfig.pop_size
+    cc_pop_size: int = CCConfig.pop_size
+    cc_groups: int = CCConfig.num_groups
 
 
 def _parse_bool(value: str) -> bool:
@@ -252,11 +252,11 @@ def run_single(algorithm: str, fn, max_nfe: int, max_iter: int, seed: int,
     if algorithm == "mcd":
         mcd.run(fn, max_iter, max_nfe, seed, evaluator=ev)
     elif algorithm == "de":
-        pop = config.de_pop_size if config is not None else 50
+        pop = config.de_pop_size if config is not None else DEConfig.pop_size
         run_de(fn, max_nfe, seed, DEConfig(pop_size=pop), evaluator=ev)
     elif algorithm == "cc":
-        pop = config.cc_pop_size if config is not None else 50
-        groups = config.cc_groups if config is not None else 10
+        pop = config.cc_pop_size if config is not None else CCConfig.pop_size
+        groups = config.cc_groups if config is not None else CCConfig.num_groups
         cc_cfg = CCConfig(pop_size=pop, num_groups=min(groups, fn.dim))
         run_cc(fn, max_nfe, seed, cc_cfg, evaluator=ev)
     else:
@@ -419,6 +419,11 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     if missing:
         raise ConfigError(f"{meta_path}: missing keys {', '.join(missing)}")
     grid = meta["trace_grid"]
+    counts = [meta["dim"], meta["max_nfe"], meta["repeats"]]
+    # type() rather than isinstance(): a JSON true is a bool, not a count
+    if not isinstance(grid, list) or not all(type(v) is int for v in counts + grid):
+        raise ConfigError(f"{meta_path}: dim, max_nfe and repeats must be integers "
+                          "and trace_grid a list of integers")
     tie_epsilon = meta.get("tie_epsilon", 0.0)
 
     rows = _read_results(out_dir)

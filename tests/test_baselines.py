@@ -14,7 +14,6 @@ from mcdopt.baselines import (
     cc_init,
     de_generation,
     delta_grouping,
-    delta_update,
     run_cc,
     run_de,
 )
@@ -22,7 +21,6 @@ from mcdopt.core import (
     Box,
     BudgetedEvaluator,
     Candidate,
-    DimensionMismatch,
     InsufficientBudget,
     Objective,
     named_stream,
@@ -205,27 +203,6 @@ def test_donor_table_draws_match_per_individual_pools(n):
         assert np.array_equal(picked, expected)
 
 
-class TestDeltaUpdate:
-    def test_componentwise_difference(self):
-        deltas = delta_update(Candidate(np.array([1.0, 2.0]), 0.0),
-                              Candidate(np.array([1.0, 5.0]), 0.0))
-        assert deltas.tolist() == [0.0, 3.0]
-
-    def test_identical_positions(self):
-        p = np.array([3.0, -1.0, 2.0])
-        assert delta_update(Candidate(p, 0.0), Candidate(p.copy(), 0.0)).tolist() \
-            == [0.0, 0.0, 0.0]
-
-    def test_sign_insensitive(self):
-        deltas = delta_update(Candidate(np.zeros(3), 0.0),
-                              Candidate(np.array([-1.0, 2.0, -0.5]), 0.0))
-        assert deltas.tolist() == [1.0, 2.0, 0.5]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            delta_update(Candidate(np.zeros(2), 0.0), Candidate(np.zeros(3), 0.0))
-
-
 class TestDeltaGrouping:
     def test_sort_then_chunk(self):
         groups = delta_grouping([5.0, 1.0, 9.0, 3.0], 2)
@@ -266,9 +243,10 @@ class TestCooperative:
         state = cc_init(CCConfig(pop_size=8, num_groups=3), ev, named_stream(4, "cc-init"))
         assert len(state.population) == 8
         assert ev.used_nfe == 8
-        assert state.best.value == min(c.value for c in state.population)
-        assert np.array_equal(state.last_anchor, state.best.position)
-        assert state.cycle == 0 and state.prev_anchor is None
+        assert ev.best.value == min(c.value for c in state.population)
+        assert np.array_equal(state.anchor, ev.best.position)
+        assert state.anchor is not ev.best.position
+        assert state.last_groups is None  # no cycle has run yet
 
     def test_init_with_no_budget_left(self):
         obj = sphere_objective(2)
@@ -306,9 +284,9 @@ class TestCooperative:
         cfg = CCConfig(pop_size=6, num_groups=2)
         rng = named_stream(8, "cc-gen")
         state = cc_init(cfg, ev, named_stream(8, "cc-init"))
-        anchor0 = state.best.position.copy()
+        anchor0 = ev.best.position.copy()
         cc_cycle(state, cfg, ev, rng)
-        anchor1 = state.best.position.copy()
+        anchor1 = ev.best.position.copy()
         cc_cycle(state, cfg, ev, rng)
         expected = chunked_by_delta(np.abs(anchor1 - anchor0), 2)
         assert [g.tolist() for g in state.last_groups] == expected
@@ -323,8 +301,7 @@ class TestCooperative:
         pop_b = _init_population(6, ev_b, named_stream(11, "shared-init"))
         de_generation(pop_a, DEConfig(pop_size=6, cr=0.9, f_range=(0.5, 0.5)),
                       ev_a, named_stream(13, "shared-gen"))
-        state = CCState(population=pop_b, best=ev_b.best.copy(),
-                        last_anchor=ev_b.best.position.copy())
+        state = CCState(population=pop_b, anchor=ev_b.best.position.copy())
         cc_cycle(state, CCConfig(pop_size=6, f=0.5, cr=0.9, num_groups=1),
                  ev_b, named_stream(13, "shared-gen"))
         assert ev_a.used_nfe == ev_b.used_nfe

@@ -240,6 +240,15 @@ class TestRunSingle:
         assert used == 60
         assert err >= 0.0
 
+    @pytest.mark.parametrize("algorithm", ["de", "cc"])
+    def test_no_config_equals_parsed_defaults(self, algorithm):
+        fn = make_function("ackley", 12, 5)
+        config = parse_config_text(f"algorithms = {algorithm}\ndim = 12\nmax_nfe = 180\n")
+        assert (config.de_pop_size, config.cc_pop_size, config.cc_groups) == (50, 50, 10)
+        default = run_single(algorithm, fn, 180, 3, 4, None)
+        parsed = run_single(algorithm, fn, 180, 3, 4, config)
+        assert default[:3] == parsed[:3]
+
     def test_unknown_algorithm(self):
         fn = make_function("sphere", 2, 5)
         with pytest.raises(ConfigError):
@@ -421,7 +430,8 @@ class TestCli:
 
     @pytest.mark.parametrize("damage", [
         "missing trace", "results header", "results number", "trace number",
-        "meta json", "meta key", "meta not object"])
+        "meta json", "meta key", "meta not object", "meta types grid strings",
+        "meta types grid scalar", "meta types dim float", "meta types repeats bool"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
         config.algorithms = ["de"]
@@ -451,10 +461,31 @@ class TestCli:
             _write(meta, "null")
         else:
             fields = json.loads(_read_bytes(meta))
-            del fields["trace_grid"]
+            if damage == "meta key":
+                del fields["trace_grid"]
+            elif damage == "meta types grid strings":
+                fields["trace_grid"] = ["30", "60"]
+            elif damage == "meta types grid scalar":
+                fields["trace_grid"] = 5
+            elif damage == "meta types dim float":
+                fields["dim"] = 4.0
+            else:
+                fields["repeats"] = True
             _write(meta, json.dumps(fields))
         assert cli.main(["report", "--in", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_suite_manifest_in_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "absent" / "x.json"
+        assert cli.main(["suite", "--dim", "4", "--manifest", str(path)]) == 2
+        assert "file error" in capsys.readouterr().err
+
+    def test_output_dir_below_regular_file(self, tmp_path, capsys):
+        blocker = _write(tmp_path / "blocker", "not a directory\n")
+        config_path = _write(tmp_path / "grid.cfg",
+                             VALID_CONFIG + f"output_dir = {blocker}/out\n")
+        assert cli.main(["run", "--config", config_path]) == 2
+        assert "file error" in capsys.readouterr().err
 
     def test_suite_dim_too_small(self, tmp_path):
         assert cli.main(["suite", "--dim", "1",
