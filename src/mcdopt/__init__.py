@@ -13,13 +13,10 @@ from .core import (
     BudgetExhausted,
     Candidate,
     InsufficientBudget,
-    MissingOptimum,
-    NoEvaluations,
     NonFiniteValue,
     Objective,
     OptimizationError,
     OutOfBox,
-    error_of,
     named_stream,
 )
 
@@ -31,15 +28,12 @@ __all__ = [
     "BudgetExhausted",
     "Candidate",
     "InsufficientBudget",
-    "MissingOptimum",
-    "NoEvaluations",
     "NonFiniteValue",
     "Objective",
     "OptimizationError",
     "OutOfBox",
     "baselines",
     "benchfns",
-    "error_of",
     "harness",
     "mcd",
     "named_stream",

@@ -144,20 +144,18 @@ def de_generation(population: list[Candidate], cfg: DEConfig,
     return population
 
 
-def run_de(objective, max_nfe: int, seed: int, cfg: Optional[DEConfig] = None,
-           evaluator: Optional[BudgetedEvaluator] = None) -> RunResult:
+def run_de(objective, max_nfe: int, seed: int,
+           cfg: Optional[DEConfig] = None) -> RunResult:
     """Budgeted rand/1/bin run: uniform initialization, then generations until
     the budget is gone."""
     cfg = cfg if cfg is not None else DEConfig()
-    ev = evaluator if evaluator is not None else BudgetedEvaluator(objective, max_nfe)
-    if ev.remaining < 1:
-        raise InsufficientBudget("evaluator has no budget left")
+    ev = BudgetedEvaluator(objective, max_nfe)
     init_rng = named_stream(seed, "de-init")
     gen_rng = named_stream(seed, "de-gen")
     population = _init_population(cfg.pop_size, ev, init_rng)
     while ev.remaining > 0:
         de_generation(population, cfg, ev, gen_rng)
-    return RunResult(best=ev.best.copy(), used_nfe=ev.used_nfe, trace=list(ev.trace))
+    return RunResult(best=ev.best, used_nfe=ev.used_nfe, trace=ev.trace)
 
 
 def delta_grouping(deltas, num_groups: int) -> list[np.ndarray]:
@@ -226,16 +224,14 @@ def cc_cycle(state: CCState, cfg: CCConfig, ev: BudgetedEvaluator,
     return state
 
 
-def run_cc(objective, max_nfe: int, seed: int, cfg: Optional[CCConfig] = None,
-           evaluator: Optional[BudgetedEvaluator] = None) -> RunResult:
+def run_cc(objective, max_nfe: int, seed: int,
+           cfg: Optional[CCConfig] = None) -> RunResult:
     """Budgeted co-evolution run: initialization, then cycles until the budget
     is gone."""
     cfg = cfg if cfg is not None else CCConfig()
-    ev = evaluator if evaluator is not None else BudgetedEvaluator(objective, max_nfe)
-    if ev.remaining < 1:
-        raise InsufficientBudget("evaluator has no budget left")
+    ev = BudgetedEvaluator(objective, max_nfe)
     state = cc_init(cfg, ev, named_stream(seed, "cc-init"))
     gen_rng = named_stream(seed, "cc-gen")
     while ev.remaining > 0:
         cc_cycle(state, cfg, ev, gen_rng)
-    return RunResult(best=ev.best.copy(), used_nfe=ev.used_nfe, trace=list(ev.trace))
+    return RunResult(best=ev.best, used_nfe=ev.used_nfe, trace=ev.trace)

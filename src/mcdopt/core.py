@@ -1,8 +1,9 @@
 """Shared domain types: search boxes, candidates, budget-counted evaluation.
 
-Everything downstream (the optimizers, the benchmark suite, the experiment
-harness) talks to objectives through these types, so budget fairness lives
-in exactly one place. Bounds are checked once per evaluation: by
+Each optimizer run builds one `BudgetedEvaluator` from its objective and
+budget and spends every evaluation through it, so budget fairness lives in
+exactly one place; the run's result hands over the evaluator's best
+candidate and improvement trace. Bounds are checked once per evaluation: by
 `BudgetedEvaluator`, or by the objective's own `evaluate` when its class
 sets `checks_bounds = True` (as `BenchFunction` does).
 """
@@ -31,14 +32,6 @@ class OutOfBox(OptimizationError):
 
 class NonFiniteValue(OptimizationError):
     """The objective returned NaN, which no value can be ranked against."""
-
-
-class MissingOptimum(OptimizationError):
-    """An error value was requested but the objective has no known optimum."""
-
-
-class NoEvaluations(OptimizationError):
-    """A best-so-far value was requested before any evaluation happened."""
 
 
 class InsufficientBudget(OptimizationError):
@@ -115,9 +108,6 @@ class Candidate:
     position: np.ndarray
     value: Optional[float] = None
 
-    def copy(self) -> "Candidate":
-        return Candidate(self.position.copy(), self.value)
-
 
 class Objective:
     """Adapter giving a plain callable the full objective contract.
@@ -186,13 +176,3 @@ class BudgetedEvaluator:
 
     def __call__(self, position) -> float:
         return self.evaluate(position)
-
-
-def error_of(ev: BudgetedEvaluator) -> float:
-    """Best value found so far minus the objective's known optimum value."""
-    if ev.best is None:
-        raise NoEvaluations("no evaluation has been recorded yet")
-    optimum = getattr(ev.objective, "optimum_value", None)
-    if optimum is None:
-        raise MissingOptimum("objective has no known optimum value")
-    return ev.best.value - optimum

@@ -27,7 +27,7 @@ import numpy as np
 from . import mcd
 from .baselines import CCConfig, DEConfig, run_cc, run_de
 from .benchfns import SUITE_NAMES, make_suite
-from .core import BudgetedEvaluator, InsufficientBudget, OptimizationError, error_of
+from .core import OptimizationError
 from .svgplot import convergence_svg
 
 ALGORITHMS = ("mcd", "de", "cc")
@@ -221,11 +221,7 @@ def validate_config(config: ExperimentConfig) -> None:
     if not math.isfinite(config.tie_epsilon) or config.tie_epsilon < 0.0:
         raise ConfigError("tie_epsilon must be a finite number of at least 0")
     if "mcd" in config.algorithms:
-        needed = 2 * config.dim * config.max_iter
-        if config.max_nfe < needed:
-            raise InsufficientBudget(
-                f"mcd needs at least {needed} evaluations for dim {config.dim} "
-                f"and max_iter {config.max_iter}, budget is {config.max_nfe}")
+        mcd.restart_plan(config.dim, config.max_iter, config.max_nfe)
 
 
 def resolve_functions(config: ExperimentConfig) -> list[str]:
@@ -243,26 +239,27 @@ def resolve_trace_grid(config: ExperimentConfig) -> list[int]:
 
 def run_single(algorithm: str, fn, max_nfe: int, max_iter: int, seed: int,
                config: Optional[ExperimentConfig] = None):
-    """Execute one grid cell with a fresh evaluator.
+    """Execute one grid cell; the optimizer spends the budget through its own
+    fresh evaluator.
 
-    Returns (final_error, used_nfe, trace, wall_seconds).
+    Returns (final_error, used_nfe, trace, wall_seconds), where the final
+    error is the best value found minus the function's optimum value.
     """
-    ev = BudgetedEvaluator(fn, max_nfe)
     started = time.perf_counter()
     if algorithm == "mcd":
-        mcd.run(fn, max_iter, max_nfe, seed, evaluator=ev)
+        result = mcd.run(fn, max_iter, max_nfe, seed)
     elif algorithm == "de":
         pop = config.de_pop_size if config is not None else DEConfig.pop_size
-        run_de(fn, max_nfe, seed, DEConfig(pop_size=pop), evaluator=ev)
+        result = run_de(fn, max_nfe, seed, DEConfig(pop_size=pop))
     elif algorithm == "cc":
         pop = config.cc_pop_size if config is not None else CCConfig.pop_size
         groups = config.cc_groups if config is not None else CCConfig.num_groups
         cc_cfg = CCConfig(pop_size=pop, num_groups=min(groups, fn.dim))
-        run_cc(fn, max_nfe, seed, cc_cfg, evaluator=ev)
+        result = run_cc(fn, max_nfe, seed, cc_cfg)
     else:
         raise ConfigError(f"unknown algorithm '{algorithm}'")
     wall = time.perf_counter() - started
-    return error_of(ev), ev.used_nfe, list(ev.trace), wall
+    return result.best.value - fn.optimum_value, result.used_nfe, result.trace, wall
 
 
 @dataclass(eq=False)
@@ -425,10 +422,20 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
         raise ConfigError(f"{meta_path}: dim, max_nfe and repeats must be integers "
                           "and trace_grid a list of integers")
     tie_epsilon = meta.get("tie_epsilon", 0.0)
+    if (type(tie_epsilon) not in (int, float) or not math.isfinite(tie_epsilon)
+            or tie_epsilon < 0.0):
+        raise ConfigError(f"{meta_path}: tie_epsilon must be a finite number of at least 0")
 
     rows = _read_results(out_dir)
     algorithms = sorted({row["algorithm"] for row in rows})
     functions = sorted({row["function"] for row in rows})
+    cells = {(row["algorithm"], row["function"]) for row in rows}
+    # every algorithm must have rows for every function, or the tallies below
+    # would compare unequal sets of functions
+    empty = [f"{a} on {name}" for a in algorithms for name in functions
+             if (a, name) not in cells]
+    if empty:
+        raise ConfigError(f"{out_dir}: results.csv has no rows for {', '.join(empty)}")
 
     # mean final error per (function, algorithm), repeats in seed order
     mean_errors: dict[str, dict[str, float]] = {}
@@ -437,8 +444,7 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
         for algorithm in algorithms:
             errors = [row["final_error"] for row in rows
                       if row["function"] == name and row["algorithm"] == algorithm]
-            if errors:
-                mean_errors[name][algorithm] = float(np.mean(errors))
+            mean_errors[name][algorithm] = float(np.mean(errors))
 
     baselines = [a for a in algorithms if a != "mcd"]
     iar: dict[str, dict[str, float]] = {}
@@ -448,8 +454,6 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
             iar[name] = {}
             iar_flags[name] = {}
             for baseline in baselines:
-                if baseline not in mean_errors[name] or "mcd" not in mean_errors[name]:
-                    continue
                 ratio = compute_iar(mean_errors[name][baseline], mean_errors[name]["mcd"])
                 iar[name][baseline] = ratio
                 iar_flags[name][baseline] = "zero-denominator" if math.isinf(ratio) else "finite"
@@ -495,8 +499,6 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
         for algorithm in algorithms:
             seeds = sorted(row["seed"] for row in rows
                            if row["function"] == name and row["algorithm"] == algorithm)
-            if not seeds:
-                continue
             dense = [densify_trace(_read_trace(out_dir, algorithm, name, seed), grid)
                      for seed in seeds]
             points = []

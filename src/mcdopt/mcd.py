@@ -53,7 +53,8 @@ def restart_plan(dim: int, max_iter: int, max_nfe: int) -> RestartPlan:
     per_restart = 2 * dim * max_iter
     if per_restart > max_nfe:
         raise InsufficientBudget(
-            f"one restart needs {per_restart} evaluations, budget is {max_nfe}")
+            f"mcd needs at least {per_restart} evaluations for dim {dim} "
+            f"and max_iter {max_iter}, budget is {max_nfe}")
     return RestartPlan(dim=dim, max_iter=max_iter, max_nfe=max_nfe,
                        r_max=max_nfe // per_restart)
 
@@ -136,7 +137,6 @@ class RunOutcome:
 
 
 def run(objective, max_iter: int, max_nfe: int, seed: int,
-        evaluator: Optional[BudgetedEvaluator] = None,
         permutations: Optional[Sequence[Sequence[int]]] = None,
         record_steps: bool = False) -> RunOutcome:
     """Run the complete budgeted search: r_max restarts from the original box.
@@ -148,10 +148,7 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
     it must then provide exactly one ordering per planned restart.
     """
     plan = restart_plan(objective.dim, max_iter, max_nfe)
-    ev = evaluator if evaluator is not None else BudgetedEvaluator(objective, max_nfe)
-    if ev.remaining < plan.planned_nfe:
-        raise InsufficientBudget(
-            f"evaluator has {ev.remaining} evaluations left, plan needs {plan.planned_nfe}")
+    ev = BudgetedEvaluator(objective, max_nfe)
     if permutations is not None and len(permutations) != plan.r_max:
         raise ValueError(f"need {plan.r_max} pinned permutations, got {len(permutations)}")
 
@@ -184,5 +181,5 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
         if restart_best is None or value < restart_best.value:
             restart_best = Candidate(x, value)
 
-    return RunOutcome(best=ev.best.copy(), restart_best=restart_best, plan=plan,
-                      used_nfe=ev.used_nfe, trace=list(ev.trace), steps=steps)
+    return RunOutcome(best=ev.best, restart_best=restart_best, plan=plan,
+                      used_nfe=ev.used_nfe, trace=ev.trace, steps=steps)

@@ -182,13 +182,6 @@ class TestDeGeneration:
         assert np.array_equal(a.best.position, b.best.position)
         assert a.trace == b.trace
 
-    def test_run_de_rejects_spent_evaluator(self):
-        obj = sphere_objective(2)
-        ev = BudgetedEvaluator(obj, 1)
-        ev(np.zeros(2))
-        with pytest.raises(InsufficientBudget):
-            run_de(obj, 1, seed=0, evaluator=ev)
-
 
 @pytest.mark.parametrize("n", [4, 5, 50])
 def test_donor_table_draws_match_per_individual_pools(n):

@@ -1,4 +1,5 @@
-"""Tests for the shared domain types: boxes, evaluators, error metric."""
+"""Tests for the shared domain types: boxes, named streams, objectives and the
+budget-counting evaluator."""
 
 import math
 
@@ -9,13 +10,9 @@ from mcdopt.core import (
     Box,
     BudgetedEvaluator,
     BudgetExhausted,
-    Candidate,
-    MissingOptimum,
-    NoEvaluations,
     NonFiniteValue,
     Objective,
     OutOfBox,
-    error_of,
     named_stream,
 )
 
@@ -87,15 +84,6 @@ class TestNamedStream:
 
     def test_returns_generator(self):
         assert isinstance(named_stream(0, "x"), np.random.Generator)
-
-
-class TestCandidate:
-    def test_copy_detaches_position(self):
-        cand = Candidate(np.array([1.0, 2.0]), 5.0)
-        dup = cand.copy()
-        dup.position[0] = 9.0
-        assert cand.position[0] == 1.0
-        assert dup.value == 5.0
 
 
 class TestObjective:
@@ -214,34 +202,3 @@ class TestBudgetedEvaluator:
             assert ev.best.value == shadow
         assert ev.used_nfe == 200
 
-
-class TestErrorOf:
-    def test_zero_optimum(self):
-        ev = BudgetedEvaluator(sphere_objective(2), 5)
-        ev([2.5, 5.0])  # 6.25 + 25.0
-        assert error_of(ev) == 31.25
-
-    def test_exact_optimum_found(self):
-        obj = Objective(lambda x: float(x @ x) + 10.0, Box([-1.0], [1.0]),
-                        optimum_value=10.0)
-        ev = BudgetedEvaluator(obj, 5)
-        ev([0.0])
-        assert error_of(ev) == 0.0
-
-    def test_large_error_passthrough(self):
-        obj = Objective(lambda x: 5.67e7, Box([-1.0], [1.0]), optimum_value=0.0)
-        ev = BudgetedEvaluator(obj, 5)
-        ev([0.0])
-        assert error_of(ev) == 5.67e7
-
-    def test_missing_optimum(self):
-        obj = Objective(lambda x: 1.0, Box([-1.0], [1.0]))
-        ev = BudgetedEvaluator(obj, 5)
-        ev([0.0])
-        with pytest.raises(MissingOptimum):
-            error_of(ev)
-
-    def test_no_evaluations(self):
-        ev = BudgetedEvaluator(sphere_objective(1), 5)
-        with pytest.raises(NoEvaluations):
-            error_of(ev)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcdopt import cli
-from mcdopt.core import InsufficientBudget
+from mcdopt.core import Box, InsufficientBudget, Objective
 from mcdopt.harness import (
     ConfigError,
     ExperimentConfig,
@@ -249,6 +249,16 @@ class TestRunSingle:
         parsed = run_single(algorithm, fn, 180, 3, 4, config)
         assert default[:3] == parsed[:3]
 
+    def test_final_error_subtracts_optimum(self):
+        # a sphere lifted to an optimum value of 10: the error is the best
+        # value (10.125, at (0.25, 0.25) after two passes) minus 10
+        obj = Objective(lambda p: float(p @ p) + 10.0, Box([-1.0, -1.0], [1.0, 1.0]),
+                        optimum_value=10.0, name="lifted")
+        err, used, trace, _ = run_single("mcd", obj, 8, 2, 0, None)
+        assert used == 8
+        assert trace[-1][1] == 10.125
+        assert err == 0.125
+
     def test_unknown_algorithm(self):
         fn = make_function("sphere", 2, 5)
         with pytest.raises(ConfigError):
@@ -431,11 +441,17 @@ class TestCli:
     @pytest.mark.parametrize("damage", [
         "missing trace", "results header", "results number", "trace number",
         "meta json", "meta key", "meta not object", "meta types grid strings",
-        "meta types grid scalar", "meta types dim float", "meta types repeats bool"])
+        "meta types grid scalar", "meta types dim float", "meta types repeats bool",
+        "meta tie_epsilon string", "meta tie_epsilon negative", "meta tie_epsilon bool",
+        "missing cell"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
-        config.algorithms = ["de"]
-        config.functions = ["sphere"]
+        if damage == "missing cell":
+            config.algorithms = ["mcd", "de"]
+            config.functions = ["sphere", "ackley"]
+        else:
+            config.algorithms = ["de"]
+            config.functions = ["sphere"]
         config.repeats = 1
         run_grid(config)
         out = tmp_path / "out"
@@ -459,6 +475,9 @@ class TestCli:
             _write(meta, "{oops")
         elif damage == "meta not object":
             _write(meta, "null")
+        elif damage == "missing cell":
+            lines = _read_bytes(results).decode().splitlines(keepends=True)
+            _write(results, "".join(l for l in lines if not l.startswith("mcd,ackley,")))
         else:
             fields = json.loads(_read_bytes(meta))
             if damage == "meta key":
@@ -469,6 +488,12 @@ class TestCli:
                 fields["trace_grid"] = 5
             elif damage == "meta types dim float":
                 fields["dim"] = 4.0
+            elif damage == "meta tie_epsilon string":
+                fields["tie_epsilon"] = "x"
+            elif damage == "meta tie_epsilon negative":
+                fields["tie_epsilon"] = -1
+            elif damage == "meta tie_epsilon bool":
+                fields["tie_epsilon"] = True
             else:
                 fields["repeats"] = True
             _write(meta, json.dumps(fields))
