@@ -14,7 +14,7 @@ import sys
 
 from .benchfns import make_suite, suite_manifest
 from .core import InsufficientBudget
-from .harness import ConfigError, load_config, report_from_dir, run_grid
+from .harness import ConfigError, _write_text, load_config, report_from_dir, run_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,8 +30,9 @@ def _cmd_run(args) -> int:
         config.output_dir = override
     report = run_grid(config)
     print(f"wrote {report.output_dir}")
-    for baseline, (wins, ties, losses) in sorted(report.wtl.items()):
-        print(f"mcd vs {baseline}: {wins} wins, {ties} ties, {losses} losses")
+    for baseline, counts in sorted(report.summary["wtl"].items()):
+        print(f"mcd vs {baseline}: {counts['wins']} wins, {counts['ties']} ties, "
+              f"{counts['losses']} losses")
     return EXIT_OK
 
 
@@ -45,9 +46,7 @@ def _cmd_suite(args) -> int:
     if args.dim < 2:
         raise ConfigError("suite dim must be at least 2")
     manifest = suite_manifest(make_suite(args.dim, args.seed))
-    with open(args.manifest, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(args.manifest, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.manifest}")
     return EXIT_OK
 

@@ -7,6 +7,12 @@ and one convergence chart per function (plots/). The summary and the charts
 are derived purely from the files written during the run, so `report` can
 delete and byte-identically regenerate them at any time.
 
+Every file is written to a temp file beside it and moved into place with
+`os.replace`. A grid run first removes the previous results.csv, meta.json
+and summary.json, and writes results.csv last, as its commit point: a run
+that dies part-way leaves no results table, so `report` rejects the
+directory instead of mixing two experiments.
+
 Numbers are written with round-trip decimal formatting (repr), and wall
 times are opt-in (`record_timing = true`), so a rerun of the same config
 reproduces every derived file byte for byte.
@@ -14,7 +20,9 @@ reproduces every derived file byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -184,6 +192,8 @@ def load_config(path: str) -> ExperimentConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return parse_config_text(text)
 
 
@@ -237,8 +247,7 @@ def resolve_trace_grid(config: ExperimentConfig) -> list[int]:
     return list(range(step, config.max_nfe + 1, step))
 
 
-def run_single(algorithm: str, fn, max_nfe: int, max_iter: int, seed: int,
-               config: Optional[ExperimentConfig] = None):
+def run_single(algorithm: str, fn, seed: int, config: ExperimentConfig):
     """Execute one grid cell; the optimizer spends the budget through its own
     fresh evaluator.
 
@@ -247,15 +256,13 @@ def run_single(algorithm: str, fn, max_nfe: int, max_iter: int, seed: int,
     """
     started = time.perf_counter()
     if algorithm == "mcd":
-        result = mcd.run(fn, max_iter, max_nfe, seed)
+        result = mcd.run(fn, config.max_iter, config.max_nfe, seed)
     elif algorithm == "de":
-        pop = config.de_pop_size if config is not None else DEConfig.pop_size
-        result = run_de(fn, max_nfe, seed, DEConfig(pop_size=pop))
+        result = run_de(fn, config.max_nfe, seed, DEConfig(pop_size=config.de_pop_size))
     elif algorithm == "cc":
-        pop = config.cc_pop_size if config is not None else CCConfig.pop_size
-        groups = config.cc_groups if config is not None else CCConfig.num_groups
-        cc_cfg = CCConfig(pop_size=pop, num_groups=min(groups, fn.dim))
-        result = run_cc(fn, max_nfe, seed, cc_cfg)
+        cc_cfg = CCConfig(pop_size=config.cc_pop_size,
+                          num_groups=min(config.cc_groups, fn.dim))
+        result = run_cc(fn, config.max_nfe, seed, cc_cfg)
     else:
         raise ConfigError(f"unknown algorithm '{algorithm}'")
     wall = time.perf_counter() - started
@@ -264,14 +271,11 @@ def run_single(algorithm: str, fn, max_nfe: int, max_iter: int, seed: int,
 
 @dataclass(eq=False)
 class ExperimentReport:
-    """Aggregates derived from one results directory."""
+    """The rows of one results directory and the files derived from them."""
 
     output_dir: str
     rows: list[dict]
-    mean_errors: dict            # function -> algorithm -> mean final error
-    iar: dict                    # function -> baseline algorithm -> ratio
-    iar_flags: dict              # function -> baseline algorithm -> flag
-    wtl: dict                    # baseline algorithm -> (wins, ties, losses)
+    summary: dict                # the contents of summary.json
     summary_path: str
     plot_paths: list[str]
 
@@ -280,11 +284,35 @@ def _trace_filename(algorithm: str, function: str, seed: int) -> str:
     return f"{algorithm}__{function}__seed{seed}.csv"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then move it into place, so
+    `path` never holds a partly written file."""
+    temp = f"{path}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
+def _csv_text(header, rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def run_grid(config: ExperimentConfig) -> ExperimentReport:
     """Execute the whole grid and write every output file.
 
     Cells run sequentially in sorted (algorithm, function, seed) order, so
-    the output never depends on scheduling.
+    the output never depends on scheduling. The previous results.csv,
+    meta.json and summary.json are removed before the first cell, and
+    results.csv is written last.
     """
     validate_config(config)
     functions = resolve_functions(config)
@@ -292,41 +320,23 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
     out_dir = config.output_dir
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
+    # until results.csv is written again, report_from_dir rejects the directory
+    for name in ("results.csv", "meta.json", "summary.json"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
 
     rows = []
     for algorithm in sorted(config.algorithms):
         for name in functions:
             for repeat in range(config.repeats):
                 seed = config.base_seed + repeat
-                err, used, trace, wall = run_single(
-                    algorithm, suite[name], config.max_nfe, config.max_iter,
-                    seed, config)
+                err, used, trace, wall = run_single(algorithm, suite[name], seed, config)
                 wall_ms = str(int(round(wall * 1000.0))) if config.record_timing else ""
-                rows.append({
-                    "algorithm": algorithm,
-                    "function": name,
-                    "dim": config.dim,
-                    "seed": seed,
-                    "max_nfe": config.max_nfe,
-                    "used_nfe": used,
-                    "final_error": err,
-                    "wall_ms": wall_ms,
-                })
-                trace_path = os.path.join(traces_dir, _trace_filename(algorithm, name, seed))
-                with open(trace_path, "w", encoding="utf-8", newline="") as handle:
-                    writer = csv.writer(handle, lineterminator="\n")
-                    writer.writerow(["nfe", "best_value"])
-                    for nfe, value in trace:
-                        writer.writerow([nfe, repr(value)])
-
-    with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8",
-              newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow([row["algorithm"], row["function"], row["dim"],
-                             row["seed"], row["max_nfe"], row["used_nfe"],
-                             repr(row["final_error"]), row["wall_ms"]])
+                rows.append((algorithm, name, config.dim, seed, config.max_nfe, used,
+                             repr(err), wall_ms))
+                _write_text(os.path.join(traces_dir, _trace_filename(algorithm, name, seed)),
+                            _csv_text(("nfe", "best_value"),
+                                      [(nfe, repr(value)) for nfe, value in trace]))
 
     meta = {
         "algorithms": sorted(config.algorithms),
@@ -340,10 +350,9 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
         "trace_grid": resolve_trace_grid(config),
         "tie_epsilon": config.tie_epsilon,
     }
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
+    _write_text(os.path.join(out_dir, "meta.json"),
+                json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_text(os.path.join(out_dir, "results.csv"), _csv_text(RESULT_COLUMNS, rows))
     return report_from_dir(out_dir)
 
 
@@ -356,7 +365,7 @@ def _read_results(out_dir: str) -> list[dict]:
             header = reader.fieldnames or []
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     missing = [column for column in RESULT_COLUMNS if column not in header]
     if missing:
@@ -416,7 +425,8 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     if missing:
         raise ConfigError(f"{meta_path}: missing keys {', '.join(missing)}")
     grid = meta["trace_grid"]
-    counts = [meta["dim"], meta["max_nfe"], meta["repeats"]]
+    repeats = meta["repeats"]
+    counts = [meta["dim"], meta["max_nfe"], repeats]
     # type() rather than isinstance(): a JSON true is a bool, not a count
     if not isinstance(grid, list) or not all(type(v) is int for v in counts + grid):
         raise ConfigError(f"{meta_path}: dim, max_nfe and repeats must be integers "
@@ -427,69 +437,57 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
         raise ConfigError(f"{meta_path}: tie_epsilon must be a finite number of at least 0")
 
     rows = _read_results(out_dir)
-    algorithms = sorted({row["algorithm"] for row in rows})
-    functions = sorted({row["function"] for row in rows})
-    cells = {(row["algorithm"], row["function"]) for row in rows}
-    # every algorithm must have rows for every function, or the tallies below
-    # would compare unequal sets of functions
-    empty = [f"{a} on {name}" for a in algorithms for name in functions
-             if (a, name) not in cells]
-    if empty:
-        raise ConfigError(f"{out_dir}: results.csv has no rows for {', '.join(empty)}")
-
-    # mean final error per (function, algorithm), repeats in seed order
-    mean_errors: dict[str, dict[str, float]] = {}
-    for name in functions:
-        mean_errors[name] = {}
-        for algorithm in algorithms:
-            errors = [row["final_error"] for row in rows
-                      if row["function"] == name and row["algorithm"] == algorithm]
-            mean_errors[name][algorithm] = float(np.mean(errors))
-
-    baselines = [a for a in algorithms if a != "mcd"]
-    iar: dict[str, dict[str, float]] = {}
-    iar_flags: dict[str, dict[str, str]] = {}
-    if "mcd" in algorithms:
+    buckets: dict[tuple[str, str], list[dict]] = {}
+    for row in rows:
+        buckets.setdefault((row["algorithm"], row["function"]), []).append(row)
+    algorithms = sorted({algorithm for algorithm, _ in buckets})
+    functions = sorted({name for _, name in buckets})
+    # every cell must hold `repeats` distinct seeds, or the means, tallies and
+    # charts below would compare unequal samples
+    seeds: dict[tuple[str, str], list[int]] = {}
+    for algorithm in algorithms:
         for name in functions:
-            iar[name] = {}
-            iar_flags[name] = {}
-            for baseline in baselines:
-                ratio = compute_iar(mean_errors[name][baseline], mean_errors[name]["mcd"])
-                iar[name][baseline] = ratio
-                iar_flags[name][baseline] = "zero-denominator" if math.isinf(ratio) else "finite"
+            cell = buckets.get((algorithm, name), [])
+            seeds[algorithm, name] = sorted({row["seed"] for row in cell})
+            if len(cell) != repeats or len(seeds[algorithm, name]) != repeats:
+                raise ConfigError(
+                    f"{out_dir}: results.csv has {len(cell)} rows with seeds "
+                    f"{seeds[algorithm, name]} for {algorithm} on {name}, "
+                    f"expected {repeats} distinct seeds")
 
-    wtl: dict[str, tuple[int, int, int]] = {}
-    if "mcd" in algorithms:
-        for baseline in baselines:
-            ours = [mean_errors[name]["mcd"] for name in functions]
-            theirs = [mean_errors[name][baseline] for name in functions]
-            wtl[baseline] = tally_wtl(ours, theirs, tie_epsilon)
+    # mean final error per cell, repeats in file order
+    mean_errors = {key: float(np.mean([row["final_error"] for row in cell]))
+                   for key, cell in buckets.items()}
+    baselines = [a for a in algorithms if a != "mcd"] if "mcd" in algorithms else []
+    aggregate = {}
+    for name in functions:
+        ratios = {b: compute_iar(mean_errors[b, name], mean_errors["mcd", name])
+                  for b in baselines}
+        aggregate[name] = {
+            "mean_error": {a: mean_errors[a, name] for a in algorithms},
+            "iar": {b: "inf" if math.isinf(r) else r for b, r in ratios.items()},
+            "iar_flags": {b: "zero-denominator" if math.isinf(r) else "finite"
+                          for b, r in ratios.items()},
+        }
+    wtl = {}
+    for baseline in baselines:
+        wins, ties, losses = tally_wtl([mean_errors["mcd", name] for name in functions],
+                                       [mean_errors[baseline, name] for name in functions],
+                                       tie_epsilon)
+        wtl[baseline] = {"wins": wins, "ties": ties, "losses": losses}
 
     summary = {
         "algorithms": algorithms,
         "functions": functions,
         "dim": meta["dim"],
         "max_nfe": meta["max_nfe"],
-        "repeats": meta["repeats"],
+        "repeats": repeats,
         "runs": len(rows),
-        "aggregate": {
-            name: {
-                "mean_error": mean_errors[name],
-                "iar": {b: ("inf" if math.isinf(v) else v)
-                        for b, v in iar.get(name, {}).items()},
-                "iar_flags": iar_flags.get(name, {}),
-            }
-            for name in functions
-        },
-        "wtl": {
-            baseline: {"wins": w, "ties": t, "losses": l}
-            for baseline, (w, t, l) in sorted(wtl.items())
-        },
+        "aggregate": aggregate,
+        "wtl": wtl,
     }
     summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     plots_dir = os.path.join(out_dir, "plots")
     os.makedirs(plots_dir, exist_ok=True)
@@ -497,22 +495,17 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     for name in functions:
         series = []
         for algorithm in algorithms:
-            seeds = sorted(row["seed"] for row in rows
-                           if row["function"] == name and row["algorithm"] == algorithm)
             dense = [densify_trace(_read_trace(out_dir, algorithm, name, seed), grid)
-                     for seed in seeds]
+                     for seed in seeds[algorithm, name]]
             points = []
             for index, checkpoint in enumerate(grid):
                 values = [d[index] for d in dense if d[index] is not None]
                 if values:
                     points.append((float(checkpoint), float(np.mean(values))))
             series.append((algorithm, ALGORITHM_COLORS.get(algorithm, "#555555"), points))
-        svg = convergence_svg(f"{name} (dim {meta['dim']})", series)
         path = os.path.join(plots_dir, f"{name}.svg")
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(svg)
+        _write_text(path, convergence_svg(f"{name} (dim {meta['dim']})", series))
         plot_paths.append(path)
 
-    return ExperimentReport(output_dir=out_dir, rows=rows, mean_errors=mean_errors,
-                            iar=iar, iar_flags=iar_flags, wtl=wtl,
+    return ExperimentReport(output_dir=out_dir, rows=rows, summary=summary,
                             summary_path=summary_path, plot_paths=plot_paths)

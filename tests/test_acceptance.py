@@ -206,10 +206,11 @@ def test_directional_comparison_low_budget():
     started = time.perf_counter()
     suite = make_suite(100, 2026)
     seeds = range(100, 111)
+    config = ExperimentConfig(algorithms=["mcd", "de"], dim=100, max_nfe=10000, max_iter=10)
     mean_errors = {"mcd": {}, "de": {}}
     for fn in suite:
         for algorithm in ("mcd", "de"):
-            errors = [run_single(algorithm, fn, 10000, 10, seed)[0]
+            errors = [run_single(algorithm, fn, seed, config)[0]
                       for seed in seeds]
             mean_errors[algorithm][fn.name] = float(np.mean(errors))
     for name in SEPARABLE:

@@ -3,11 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mcdopt import cli
+from mcdopt import cli, harness
 from mcdopt.core import Box, InsufficientBudget, Objective
 from mcdopt.harness import (
     ConfigError,
@@ -115,6 +117,7 @@ class TestConfigParsing:
         assert config.max_iter == 10
         assert config.base_seed == 0
         assert config.tie_epsilon == 0.0
+        assert (config.de_pop_size, config.cc_pop_size, config.cc_groups) == (50, 50, 10)
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
@@ -216,45 +219,41 @@ class TestResolvers:
         assert resolve_trace_grid(config) == [10, 100]
 
 
+def _cell_config(algorithm, dim, max_nfe, max_iter=3, **fields):
+    return ExperimentConfig(algorithms=[algorithm], dim=dim, max_nfe=max_nfe,
+                            max_iter=max_iter, **fields)
+
+
 class TestRunSingle:
     def test_same_cell_twice_is_identical(self):
         fn = make_function("rastrigin", 4, 5)
-        first = run_single("de", fn, 60, 3, 7, None)
-        second = run_single("de", fn, 60, 3, 7, None)
+        config = _cell_config("de", 4, 60)
+        first = run_single("de", fn, 7, config)
+        second = run_single("de", fn, 7, config)
         assert first[0] == second[0]
         assert first[1] == second[1]
         assert first[2] == second[2]
 
     def test_mcd_spends_planned_budget(self):
         fn = make_function("sphere", 4, 5)
-        err, used, trace, _ = run_single("mcd", fn, 130, 3, 0, None)
+        err, used, trace, _ = run_single("mcd", fn, 0, _cell_config("mcd", 4, 130))
         assert used == 120  # five restarts of 24, ten left unspent
         assert err >= 0.0
         assert trace[-1][1] - 0.0 == err
 
     def test_cc_group_count_clamped_to_dim(self):
         fn = make_function("sphere", 2, 5)
-        config = ExperimentConfig(algorithms=["cc"], dim=2, max_nfe=60,
-                                  cc_pop_size=8, cc_groups=10)
-        err, used, _, _ = run_single("cc", fn, 60, 3, 0, config)
+        config = _cell_config("cc", 2, 60, cc_pop_size=8, cc_groups=10)
+        err, used, _, _ = run_single("cc", fn, 0, config)
         assert used == 60
         assert err >= 0.0
-
-    @pytest.mark.parametrize("algorithm", ["de", "cc"])
-    def test_no_config_equals_parsed_defaults(self, algorithm):
-        fn = make_function("ackley", 12, 5)
-        config = parse_config_text(f"algorithms = {algorithm}\ndim = 12\nmax_nfe = 180\n")
-        assert (config.de_pop_size, config.cc_pop_size, config.cc_groups) == (50, 50, 10)
-        default = run_single(algorithm, fn, 180, 3, 4, None)
-        parsed = run_single(algorithm, fn, 180, 3, 4, config)
-        assert default[:3] == parsed[:3]
 
     def test_final_error_subtracts_optimum(self):
         # a sphere lifted to an optimum value of 10: the error is the best
         # value (10.125, at (0.25, 0.25) after two passes) minus 10
         obj = Objective(lambda p: float(p @ p) + 10.0, Box([-1.0, -1.0], [1.0, 1.0]),
                         optimum_value=10.0, name="lifted")
-        err, used, trace, _ = run_single("mcd", obj, 8, 2, 0, None)
+        err, used, trace, _ = run_single("mcd", obj, 0, _cell_config("mcd", 2, 8, max_iter=2))
         assert used == 8
         assert trace[-1][1] == 10.125
         assert err == 0.125
@@ -262,7 +261,7 @@ class TestRunSingle:
     def test_unknown_algorithm(self):
         fn = make_function("sphere", 2, 5)
         with pytest.raises(ConfigError):
-            run_single("annealing", fn, 60, 3, 0, None)
+            run_single("annealing", fn, 0, _cell_config("de", 2, 60))
 
 
 def _mini_config(out_dir):
@@ -325,6 +324,7 @@ class TestRunGrid:
         assert svg.startswith("<svg ")
         assert "polyline" in svg
         assert svg.endswith("\n")
+        assert not list(out.rglob("*.tmp"))
 
     def test_rerun_is_byte_identical(self, tmp_path):
         run_grid(_mini_config(tmp_path / "one"))
@@ -430,6 +430,14 @@ class TestCli:
     def test_missing_config_file_exit_code(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xe9\nalgorithms = de\ndim = 4\nmax_nfe = 99\n"
+                         + f"output_dir = {tmp_path / 'out'}\n".encode())
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_budget_error_exit_code(self, tmp_path):
         path = _write(tmp_path / "short.cfg",
                       "algorithms = mcd\ndim = 10\nmax_nfe = 100\nmax_iter = 10\n")
@@ -443,16 +451,16 @@ class TestCli:
         "meta json", "meta key", "meta not object", "meta types grid strings",
         "meta types grid scalar", "meta types dim float", "meta types repeats bool",
         "meta tie_epsilon string", "meta tie_epsilon negative", "meta tie_epsilon bool",
-        "missing cell"])
+        "missing cell", "duplicate seed", "missing seed", "results not utf-8"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
-        if damage == "missing cell":
+        if damage in ("missing cell", "duplicate seed", "missing seed"):
             config.algorithms = ["mcd", "de"]
             config.functions = ["sphere", "ackley"]
         else:
             config.algorithms = ["de"]
             config.functions = ["sphere"]
-        config.repeats = 1
+        config.repeats = 2 if damage in ("duplicate seed", "missing seed") else 1
         run_grid(config)
         out = tmp_path / "out"
         results = out / "results.csv"
@@ -478,6 +486,17 @@ class TestCli:
         elif damage == "missing cell":
             lines = _read_bytes(results).decode().splitlines(keepends=True)
             _write(results, "".join(l for l in lines if not l.startswith("mcd,ackley,")))
+        elif damage == "duplicate seed":
+            lines = _read_bytes(results).decode().splitlines(keepends=True)
+            seed11 = next(l for l in lines if l.startswith("de,sphere,4,11,"))
+            _write(results, "".join(seed11 if l.startswith("de,sphere,4,12,") else l
+                                    for l in lines))
+        elif damage == "missing seed":
+            lines = _read_bytes(results).decode().splitlines(keepends=True)
+            _write(results, "".join(l for l in lines if not l.startswith("de,sphere,4,12,")))
+        elif damage == "results not utf-8":
+            # the last row's empty wall_ms field becomes the byte 0xe9
+            results.write_bytes(_read_bytes(results)[:-1] + b"\xe9\n")
         else:
             fields = json.loads(_read_bytes(meta))
             if damage == "meta key":
@@ -499,6 +518,45 @@ class TestCli:
             _write(meta, json.dumps(fields))
         assert cli.main(["report", "--in", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_crashed_rerun_leaves_a_directory_report_rejects(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        config = _mini_config(out)
+        config.algorithms = ["mcd", "de"]
+        config.functions = ["sphere", "ackley"]
+        config.repeats = 1
+        run_grid(config)
+        assert cli.main(["report", "--in", str(out)]) == 0
+
+        # a rerun of another experiment into the same directory dies in its
+        # third cell, after two of its traces have replaced the first run's
+        config.suite_seed = 9
+        cells = []
+
+        def dies_in_third_cell(*args):
+            cells.append(args)
+            if len(cells) == 3:
+                raise KeyboardInterrupt
+            return run_single(*args)
+
+        monkeypatch.setattr(harness, "run_single", dies_in_third_cell)
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(config)
+        assert cli.main(["report", "--in", str(out)]) == 2
+        assert not list(out.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("dim, code", [(1, 2), (4, 0)])
+    def test_module_entry_point_exit_code(self, tmp_path, dim, code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        manifest = tmp_path / "suite.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "mcdopt.cli", "suite", "--dim", str(dim),
+             "--manifest", str(manifest)],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert manifest.is_file() == (code == 0)
 
     def test_suite_manifest_in_missing_directory(self, tmp_path, capsys):
         path = tmp_path / "absent" / "x.json"
