@@ -113,15 +113,15 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
     lo = box.lower[coords]
     hi = box.upper[coords]
     f_low, f_high = cfg.f_range
+    # row i holds population[i].position[coords], kept current on replacement
+    subs = np.array([c.position for c in population])[:, coords]
     for i in range(n):
         r1, r2, r3 = rng.choice(donors[i], size=3, replace=False)
         scale = rng.uniform(f_low, f_high)
-        mutant = (population[r1].position[coords]
-                  + scale * (population[r2].position[coords]
-                             - population[r3].position[coords]))
+        mutant = subs[r1] + scale * (subs[r2] - subs[r3])
         mask = rng.random(k) <= cfg.cr
         mask[int(rng.integers(k))] = True
-        sub = np.where(mask, mutant, population[i].position[coords])
+        sub = np.where(mask, mutant, subs[i])
         np.maximum(sub, lo, out=sub)
         np.minimum(sub, hi, out=sub)
         base = context if context is not None else population[i].position
@@ -133,6 +133,7 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
             return False
         if value <= population[i].value:
             population[i] = Candidate(point, value)
+            subs[i] = sub
     return True
 
 

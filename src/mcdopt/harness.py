@@ -9,9 +9,10 @@ delete and byte-identically regenerate them at any time.
 
 Every file is written to a temp file beside it and moved into place with
 `os.replace`. A grid run first removes the previous results.csv, meta.json
-and summary.json, and writes results.csv last, as its commit point: a run
-that dies part-way leaves no results table, so `report` rejects the
-directory instead of mixing two experiments.
+and summary.json, and the traces and charts an earlier grid left, and
+writes results.csv last, as its commit point: a run that dies part-way
+leaves no results table, so `report` rejects the directory instead of
+mixing two experiments.
 
 Numbers are written with round-trip decimal formatting (repr), and wall
 times are opt-in (`record_timing = true`), so a rerun of the same config
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import glob
 import io
 import json
 import math
@@ -311,8 +313,9 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
 
     Cells run sequentially in sorted (algorithm, function, seed) order, so
     the output never depends on scheduling. The previous results.csv,
-    meta.json and summary.json are removed before the first cell, and
-    results.csv is written last.
+    meta.json and summary.json, and every trace and chart named as this
+    package names them, are removed before the first cell; other files are
+    left alone. results.csv is written last.
     """
     validate_config(config)
     functions = resolve_functions(config)
@@ -321,9 +324,13 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     # until results.csv is written again, report_from_dir rejects the directory
-    for name in ("results.csv", "meta.json", "summary.json"):
+    stale = [os.path.join(out_dir, name)
+             for name in ("results.csv", "meta.json", "summary.json")]
+    stale += glob.glob(os.path.join(glob.escape(traces_dir), "*__*__seed*.csv"))
+    stale += glob.glob(os.path.join(glob.escape(out_dir), "plots", "*.svg"))
+    for path in stale:
         with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, name))
+            os.remove(path)
 
     rows = []
     for algorithm in sorted(config.algorithms):

@@ -145,7 +145,7 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
     the "perm" stream of `seed`, and performs max_iter halving passes over all
     dimensions, folding the box after each step. `permutations` pins the
     ordering per restart explicitly (mainly for worked examples and tests);
-    it must then provide exactly one ordering per planned restart.
+    it must then provide exactly one ordering of integers per planned restart.
     """
     plan = restart_plan(objective.dim, max_iter, max_nfe)
     ev = BudgetedEvaluator(objective, max_nfe)
@@ -162,8 +162,9 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
         box = original.copy()
         x = box.midpoint()
         if permutations is not None:
-            perm = np.array(permutations[r], dtype=int)
-            if sorted(perm.tolist()) != list(range(dim)):
+            perm = np.asarray(permutations[r])
+            # bools and floats would otherwise be cast to indices silently
+            if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(dim)):
                 raise ValueError(f"restart {r}: not a permutation of 0..{dim - 1}")
         else:
             perm = draw_permutation(dim, perm_rng)

@@ -5,9 +5,13 @@ reusing the package's own loops, so agreement between an oracle and the
 implementation is meaningful evidence rather than a tautology.
 """
 
+import hashlib
+import math
+import os
+
 import numpy as np
 
-from mcdopt.core import Box, Objective, named_stream
+from mcdopt.core import Box, Objective, OutOfBox, named_stream
 
 
 def sphere_objective(dim, low=-100.0, high=100.0, shift=None, optimum=0.0):
@@ -109,6 +113,56 @@ def straight_line_descent(objective, max_iter, max_nfe, seed):
             final_val = winner_val
             final_pos = winner_pos
     return steps, (final_pos, final_val)
+
+
+def reference_value(fn, x):
+    """A suite function's value the long way: the bounds checked by
+    `Box.contains`, one `rot @ z[idx]` per rotated group, and the `np.sum`
+    and `np.cumsum` forms of the base formulas. Raises OutOfBox like
+    `evaluate`."""
+    x = np.asarray(x, dtype=float)
+    if not fn.box.contains(x):
+        raise OutOfBox(f"{fn.name}: position outside the function bounds")
+    z = x - fn.shift
+    for idx, rot in fn.groups:
+        z[idx] = rot @ z[idx]
+    if fn.base == "sphere":
+        return float(z @ z)
+    if fn.base == "elliptic":
+        dim = z.size
+        coeffs = np.ones(1) if dim == 1 else 10.0 ** (6.0 * np.arange(dim) / (dim - 1))
+        return float(coeffs @ (z * z))
+    if fn.base == "rastrigin":
+        return float(np.sum(z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0))
+    if fn.base == "ackley":
+        n = z.size
+        root_mean_sq = math.sqrt(float(z @ z) / n)
+        mean_cos = float(np.sum(np.cos(2.0 * math.pi * z))) / n
+        return (-20.0 * math.exp(-0.2 * root_mean_sq)
+                - math.exp(mean_cos) + 20.0 + math.e)
+    if fn.base == "rosenbrock":
+        w = z + 1.0
+        return float(np.sum(100.0 * (w[1:] - w[:-1] ** 2) ** 2 + (1.0 - w[:-1]) ** 2))
+    if fn.base == "schwefel12":
+        partial = np.cumsum(z)
+        return float(partial @ partial)
+    raise ValueError(f"unknown base formula '{fn.base}'")
+
+
+def output_digest(out_dir):
+    """SHA-256 over results.csv, summary.json, traces/ and plots/ of a grid
+    directory, framed as the benchmark's output digest: files in name order,
+    each as `name\\0len\\0` followed by its bytes. Returns (digest, files)."""
+    names = ["results.csv", "summary.json"]
+    for sub in ("traces", "plots"):
+        names += [f"{sub}/{name}" for name in sorted(os.listdir(os.path.join(out_dir, sub)))]
+    digest = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(out_dir, name), "rb") as handle:
+            data = handle.read()
+        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
+        digest.update(data)
+    return digest.hexdigest(), len(names)
 
 
 def chunked_by_delta(deltas, num_groups):

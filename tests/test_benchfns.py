@@ -16,6 +16,8 @@ from mcdopt.benchfns import (
 )
 from mcdopt.core import BudgetedEvaluator, OutOfBox
 
+from helpers import reference_value
+
 
 class TestSuiteStructure:
     def test_eight_functions(self):
@@ -163,12 +165,51 @@ class TestThroughEvaluator:
         assert ev.used_nfe == len(points)
 
     @pytest.mark.parametrize("position", [
-        [0.0, 100.5, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        [0.0, 100.5, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+        [0.0, np.inf, 0.0], [-np.inf, 0.0, 0.0], [-100.5, 0.0, 0.0],
+        [[0.0, 0.0, 0.0]], [0.0, 0.0, 100.0 + 1e-13], np.zeros((3, 1)), 0.0])
     def test_bad_positions_rejected_without_spending(self, position):
-        ev = BudgetedEvaluator(make_function("rastrigin-group", 3, 0), 5)
+        fn = make_function("rastrigin-group", 3, 0)
+        with pytest.raises(OutOfBox):
+            reference_value(fn, position)
+        ev = BudgetedEvaluator(fn, 5)
         with pytest.raises(OutOfBox):
             ev(position)
         assert ev.used_nfe == 0 and ev.best is None
+
+
+class TestReferenceOracle:
+    """`evaluate` against the per-group rotation loop, the `np.sum` and
+    `np.cumsum` base forms and `Box.contains`, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 10, 100, 1000])
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_values_equal_the_reference(self, name, dim):
+        fn = make_function(name, dim, 4)
+        rng = np.random.default_rng(dim + 1)
+        points = list(rng.uniform(BOX_LOW, BOX_HIGH, size=(10, dim)))
+        points += [np.full(dim, BOX_LOW), np.full(dim, BOX_HIGH),
+                   np.where(np.arange(dim) % 2 == 0, BOX_LOW, BOX_HIGH),
+                   np.where(np.arange(dim) % 2 == 0, BOX_HIGH, BOX_LOW),
+                   fn.optimum_position]
+        for x in points:
+            assert fn.evaluate(x).hex() == reference_value(fn, x).hex()
+
+    def test_groups_are_views_of_the_rotation_stacks(self):
+        fn = make_function("rastrigin-group", 12, 4)
+        assert len(fn.groups) == 12 // group_size(12)
+        # each pair is a row of one index stack and one matrix stack
+        idx0, rot0 = fn.groups[0]
+        assert idx0.base is not None and rot0.base is not None
+        assert all(idx.base is idx0.base and rot.base is rot0.base
+                   for idx, rot in fn.groups)
+        assert make_function("sphere", 12, 4).groups == []
+
+    def test_unequal_group_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            BenchFunction("g", "sphere", "partially-separable(2)", 5, np.zeros(5),
+                          groups=[(np.array([0, 1]), np.eye(2)),
+                                  (np.array([2, 3, 4]), np.eye(3))])
 
 
 def _with_coordinate(x, j, t):

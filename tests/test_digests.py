@@ -15,7 +15,6 @@ means to alter the outputs says so, and why, where it is recorded.
 """
 
 import hashlib
-import os
 
 from mcdopt.baselines import (
     CCConfig,
@@ -30,25 +29,12 @@ from mcdopt.core import BudgetedEvaluator, named_stream
 from mcdopt.harness import ExperimentConfig, run_grid
 from mcdopt.mcd import run
 
+from helpers import output_digest
+
 GRID_DIGEST = "0260f77fc0559da185865993a819d5c69f71d541fb70c0e7d34c87b38edf11ba"
 MCD_STEPS_DIGEST = "23c0cbfac801b562093ac32e206ee1f652337f81de6318919f006a0a84aca8b9"
 DE_GENERATIONS_DIGEST = "eac16f56e39845898dc9743244aaf31970defa8c67f47caa350d48727b5a8f1b"
 CC_CYCLES_DIGEST = "c72d745be0fb54a16edf9606fd7006866a3dfe681bb3a97d656c38967b582b8d"
-
-
-def _output_digest(out_dir):
-    """SHA-256 over results.csv, summary.json, traces/ and plots/: files in
-    name order, each framed as `name\\0len\\0` followed by its bytes."""
-    names = ["results.csv", "summary.json"]
-    for sub in ("traces", "plots"):
-        names += [f"{sub}/{name}" for name in sorted(os.listdir(os.path.join(out_dir, sub)))]
-    digest = hashlib.sha256()
-    for name in names:
-        with open(os.path.join(out_dir, name), "rb") as handle:
-            data = handle.read()
-        digest.update(f"{name}\0{len(data)}\0".encode("utf-8"))
-        digest.update(data)
-    return digest.hexdigest(), len(names)
 
 
 def _population_repr(population):
@@ -68,7 +54,7 @@ def test_grid_outputs_digest(tmp_path):
         output_dir=str(tmp_path / "out"),
     )
     run_grid(config)
-    digest, files = _output_digest(config.output_dir)
+    digest, files = output_digest(config.output_dir)
     assert files == 58  # results.csv, summary.json, 48 traces, 8 charts
     assert digest == GRID_DIGEST
 

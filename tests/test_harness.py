@@ -28,6 +28,8 @@ from mcdopt.harness import (
 )
 from mcdopt.benchfns import make_function
 
+from helpers import output_digest
+
 
 class TestComputeIar:
     def test_large_ratio_fixture(self):
@@ -386,6 +388,31 @@ class TestRunGrid:
             assert counts == sorted(counts)
             assert counts[-1] <= 120
             assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_rerun_over_fewer_functions_leaves_no_stale_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        config = _mini_config(out)
+        config.algorithms = ["mcd", "de"]
+        config.functions = ["sphere", "ackley"]
+        config.repeats = 1
+        run_grid(config)
+        kept = [out / "notes.txt", out / "traces" / "notes.csv", out / "plots" / "notes.png"]
+        for path in kept:
+            path.write_text("not a grid output\n")
+
+        config.functions = ["sphere"]
+        run_grid(config)
+        assert not list(out.rglob("*ackley*"))
+        assert all(path.read_text() == "not a grid output\n" for path in kept)
+        # the digest covers every file under traces/ and plots/
+        for path in kept[1:]:
+            path.unlink()
+        fresh = _mini_config(tmp_path / "fresh")
+        fresh.algorithms = ["mcd", "de"]
+        fresh.functions = ["sphere"]
+        fresh.repeats = 1
+        run_grid(fresh)
+        assert output_digest(str(out)) == output_digest(fresh.output_dir)
 
     def test_timing_column_when_enabled(self, tmp_path):
         config = _mini_config(tmp_path / "out")

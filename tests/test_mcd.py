@@ -343,6 +343,11 @@ class TestRun:
             run(obj, max_iter=2, max_nfe=16, seed=0, permutations=[[0, 1]])  # needs 2
         with pytest.raises(ValueError):
             run(obj, max_iter=2, max_nfe=8, seed=0, permutations=[[0, 0]])
+        # non-integer entries would be cast to the valid orderings [0, 1] and [1, 0]
+        with pytest.raises(ValueError):
+            run(obj, max_iter=2, max_nfe=8, seed=0, permutations=[[0.5, 1.7]])
+        with pytest.raises(ValueError):
+            run(obj, max_iter=2, max_nfe=8, seed=0, permutations=[[True, False]])
 
     def test_insufficient_budget_propagates(self):
         with pytest.raises(InsufficientBudget):
