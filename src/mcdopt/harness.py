@@ -232,6 +232,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("trace_grid checkpoints must not exceed max_nfe")
     if not math.isfinite(config.tie_epsilon) or config.tie_epsilon < 0.0:
         raise ConfigError("tie_epsilon must be a finite number of at least 0")
+    if config.de_pop_size < 4:
+        raise ConfigError("de_pop_size must be at least 4 for rand/1 mutation")
+    if config.cc_pop_size < 4:
+        raise ConfigError("cc_pop_size must be at least 4 for rand/1 mutation")
+    if config.cc_groups < 1:
+        raise ConfigError("cc_groups must be at least 1")
     if "mcd" in config.algorithms:
         mcd.restart_plan(config.dim, config.max_iter, config.max_nfe)
 

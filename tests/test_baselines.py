@@ -1,8 +1,11 @@
 """Tests for the two comparison optimizers and the delta-grouping rules."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from mcdopt import baselines
 from mcdopt.baselines import (
     CCConfig,
     CCState,
@@ -10,6 +13,8 @@ from mcdopt.baselines import (
     _donor_table,
     _generation_on,
     _init_population,
+    _method_draws,
+    _pcg64_draws,
     cc_cycle,
     cc_init,
     de_generation,
@@ -336,3 +341,146 @@ class TestCooperative:
         b = run_cc(obj, 60, seed=14, cfg=CCConfig(pop_size=8, num_groups=3))
         assert a.best.value == b.best.value
         assert a.trace == b.trace
+
+
+class MethodCallGenerator(np.random.Generator):
+    """A Generator that `_generation_on` draws from by calling its methods."""
+
+
+def _twin(rng):
+    """A method-call generator standing exactly where `rng` stands."""
+    twin = MethodCallGenerator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+MASK64 = (1 << 64) - 1
+MASK128 = (1 << 128) - 1
+
+
+def _place_word(rng, offset, word):
+    """Set `rng` so that raw word number `offset` (0 is the next) equals `word`.
+
+    PCG64 steps its 128-bit LCG state, then outputs the high and low halves
+    XORed and rotated right by the top six state bits. Pick a state with a
+    fixed high half whose output is `word`, then undo `offset + 1` LCG steps;
+    the multiplier is odd, so it has an inverse modulo 2**128.
+    """
+    inc = rng.bit_generator.state["state"]["inc"]
+    high = 0xB7E151628AED2A6A  # rotation 45
+    rot = high >> 58
+    low = (((word << rot) | (word >> (64 - rot))) & MASK64) ^ high
+    state = (high << 64) | low
+    inverse = pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    for _ in range(offset + 1):
+        state = ((state - inc) * inverse) & MASK128
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+
+
+def _assert_same_draws(rng, n, k, trials, cfg):
+    """Decode `trials` trials from `rng` and check them, and where they leave
+    the generator, against the method calls on a twin."""
+    twin = _twin(rng)
+    got = list(_pcg64_draws(rng, n, k, trials, cfg))
+    want = list(itertools.islice(_method_draws(twin, n, k, cfg), trials))
+    assert len(got) == trials
+    for (donors, scale, mask), (want_donors, want_scale, want_mask) in zip(got, want):
+        assert [int(r) for r in donors] == want_donors.tolist()
+        assert scale == want_scale
+        assert mask.tolist() == want_mask.tolist()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestDecodedDraws:
+    @pytest.mark.parametrize("n", [4, 5, 8, 50])
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    @pytest.mark.parametrize("has_uint32", [0, 1])
+    def test_decoded_draws_equal_method_draws(self, n, k, has_uint32):
+        rng = named_stream(100 * n + k, "decode")
+        if has_uint32:
+            rng.integers(7)  # leaves the high half-word in the buffer
+        assert rng.bit_generator.state["has_uint32"] == has_uint32
+        for cfg in (DEConfig(pop_size=n), DEConfig(pop_size=n, cr=0.3, f_range=0.5)):
+            for trials in (1, 2, n - 1, n):
+                _assert_same_draws(rng, n, k, trials, cfg)
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 50])
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    def test_generation_equals_method_call_generation(self, n, k):
+        # remaining budgets cut the generation at its first, second, middle
+        # and last trial, or not at all
+        for remaining, with_context, has_uint32 in itertools.product(
+                (0, 1, n // 2, n - 1, n, n + 3), (False, True), (0, 1)):
+            dim = k + 3 if with_context else k
+            coords = named_stream(dim, "coords").permutation(dim)[:k]
+            outcomes = []
+            for make_rng in (lambda: named_stream(n + k, "decode-gen"),
+                             lambda: _twin(named_stream(n + k, "decode-gen"))):
+                rng = make_rng()
+                if has_uint32:
+                    rng.integers(7)
+                obj = sphere_objective(dim, low=-5.0, high=5.0,
+                                       shift=np.linspace(-2.0, 3.0, dim))
+                ev = BudgetedEvaluator(obj, n + remaining)
+                population = _init_population(n, ev, named_stream(k, "decode-init"))
+                context = ev.best.position.copy() if with_context else None
+                completed = _generation_on(population, coords, context,
+                                           DEConfig(pop_size=n), ev, rng)
+                outcomes.append((completed, ev.used_nfe, ev.trace,
+                                 [(c.position.tobytes(), c.value) for c in population],
+                                 rng.bit_generator.state))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0] == (remaining >= n)
+
+    @pytest.mark.parametrize("offset, half, size", [
+        (0, 0, 47),  # Floyd on [0, 46]
+        (0, 1, 48),  # Floyd on [0, 47]
+        (1, 0, 49),  # Floyd on [0, 48]
+        (1, 1, 3),   # shuffle on [0, 2]
+        (2, 1, 3),   # integers(3), after the block of four doubles
+    ])
+    def test_lemire_rejection(self, offset, half, size):
+        # from an empty half-word buffer, trial 0's bounded draws read the
+        # low, then the high half of words 0, 1 and 2; a half-word of 0
+        # leaves 0 below Lemire's threshold 2**32 % size, so it is rejected
+        assert (1 << 32) % size > 0
+        word = 0x9E3779B9 << 32 if half == 0 else 0x9E3779B9
+        rng = named_stream(offset, "reject")
+        _place_word(rng, offset, word)
+        assert _twin(rng).bit_generator.random_raw(offset + 1)[-1] == word
+        _assert_same_draws(rng, 50, 3, 2, DEConfig())
+
+    def test_method_calls_where_decoding_does_not_apply(self):
+        cfg = DEConfig(pop_size=8)
+        for rng in (np.random.Generator(np.random.MT19937(1)),
+                    MethodCallGenerator(np.random.PCG64(1))):
+            assert _pcg64_draws(rng, 8, 4, 8, cfg) is None
+        rng = named_stream(1, "odd")
+        before = rng.bit_generator.state
+        assert _pcg64_draws(rng, 3, 4, 3, cfg) is None
+        assert _pcg64_draws(rng, 8, 4, 8, DEConfig(f_range=(-1e308, 1e308))) is None
+        assert rng.bit_generator.state == before
+        # so the calls raise as they always did
+        ev = BudgetedEvaluator(sphere_objective(2), 100)
+        population = _init_population(3, ev, named_stream(1, "odd-init"))
+        with pytest.raises(ValueError):
+            _generation_on(population, np.arange(2), None, cfg, ev, rng)
+
+    def test_short_read_falls_back_to_method_calls(self, monkeypatch):
+        monkeypatch.setattr(baselines, "_SPARE_WORDS", 0)
+        rng = named_stream(3, "short")
+        before = rng.bit_generator.state
+        assert _pcg64_draws(rng, 8, 4, 8, DEConfig(pop_size=8)) is None
+        assert rng.bit_generator.state == before
+        outcomes = []
+        for gen in (rng, _twin(rng)):
+            obj = sphere_objective(4)
+            ev = BudgetedEvaluator(obj, 20)
+            population = _init_population(8, ev, named_stream(3, "short-init"))
+            _generation_on(population, np.arange(4), None, DEConfig(pop_size=8), ev, gen)
+            outcomes.append(([(c.position.tobytes(), c.value) for c in population],
+                             gen.bit_generator.state))
+        assert outcomes[0] == outcomes[1]

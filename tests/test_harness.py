@@ -465,6 +465,17 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["de_pop_size = 3", "cc_pop_size = 3",
+                                      "cc_groups = 0"])
+    def test_baseline_setting_error_exit_code(self, tmp_path, capsys, line):
+        out = tmp_path / "out"
+        path = _write(tmp_path / "grid.cfg",
+                      "algorithms = de, cc\nfunctions = sphere\ndim = 4\n"
+                      f"max_nfe = 99\n{line}\noutput_dir = {out}\n")
+        assert cli.main(["run", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_budget_error_exit_code(self, tmp_path):
         path = _write(tmp_path / "short.cfg",
                       "algorithms = mcd\ndim = 10\nmax_nfe = 100\nmax_iter = 10\n")
