@@ -6,20 +6,24 @@ coordinates that leave the box are clamped to the violated bound before
 evaluation, so these optimizers never trigger an out-of-bounds error.
 
 Each trial draws its donors, scale factor, crossover coin flips and forced
-crossover index, in that order. On a numpy Generator over PCG64 (every
-`named_stream`), a generation decodes all of its trials' draws from one bulk
-read of raw words before the first trial, with the same values and the same
-final generator state as the method calls; any other generator is called
-trial by trial. Since the draws are taken per generation, an OutOfBox or
-NonFiniteValue that escapes a generation leaves a PCG64 generator further
-along than trial-by-trial calls would.
+crossover index, in that order. A generation takes the draws of all its
+trials before the first: on a numpy Generator over PCG64 (every
+`named_stream`) it decodes them from one bulk read of raw words as arrays,
+with the same values and the same final generator state as the method
+calls; any other generator is called trial by trial. It then builds every
+trial row in one pass from the start-of-generation population, and only a
+trial whose donors were replaced earlier in the generation builds its own
+again. Since the draws are taken per generation, an OutOfBox or
+NonFiniteValue that escapes a generation leaves any generator further along
+than trial-by-trial calls would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +52,8 @@ class DEConfig:
         if isinstance(self.f_range, (int, float)):
             self.f_range = (float(self.f_range), float(self.f_range))
         low, high = self.f_range
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("f_range bounds must be finite")
         if low > high:
             raise ValueError("f_range low must not exceed high")
 
@@ -64,6 +70,8 @@ class CCConfig:
     def __post_init__(self):
         if self.pop_size < 4:
             raise ValueError("the inner DE needs a population of at least 4")
+        if not math.isfinite(self.f):
+            raise ValueError("f must be finite")
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError("cr must lie in [0, 1]")
         if self.num_groups < 1:
@@ -110,37 +118,105 @@ def _donor_table(n: int) -> np.ndarray:
 _SPARE_WORDS = 6
 
 
-def _method_draws(rng, n: int, k: int, cfg: DEConfig):
-    """Each trial's draws from the generator's own methods, lazily, in order.
+def _method_draws(rng, n: int, k: int, trials: int, cfg: DEConfig):
+    """The draws of trials 0 .. trials-1 from the generator's own methods,
+    called trial by trial in order.
 
-    Yields (donors, scale, mask) for trials 0 .. n-1: three distinct
-    individuals other than the target, the scale factor, and the crossover
-    mask with its forced index set.
+    Returns (donors, scales, masks): a (trials, 3) array of three distinct
+    individuals other than each target, the (trials,) scale factors, and the
+    (trials, k) crossover masks with their forced indices set.
     """
-    donors = _donor_table(n)
+    pools = _donor_table(n)
     f_low, f_high = cfg.f_range
-    for i in range(n):
-        picked = rng.choice(donors[i], size=3, replace=False)
-        scale = rng.uniform(f_low, f_high)
-        mask = rng.random(k) <= cfg.cr
-        mask[int(rng.integers(k))] = True
-        yield picked, scale, mask
+    donors = np.empty((trials, 3), dtype=np.intp)
+    scales = np.empty(trials)
+    masks = np.empty((trials, k), dtype=bool)
+    for i in range(trials):
+        donors[i] = rng.choice(pools[i], size=3, replace=False)
+        scales[i] = rng.uniform(f_low, f_high)
+        masks[i] = rng.random(k) <= cfg.cr
+        masks[i, int(rng.integers(k))] = True
+    return donors, scales, masks
+
+
+class _Layout(NamedTuple):
+    """Where a generation's draws sit in its bulk read of raw words.
+
+    Each trial makes six bounded draws in this order: Floyd's three on
+    [0, j] for j = n-4 .. n-2, the shuffle's two on [0, 2] and [0, 1], and
+    the crossover index on [0, k-1]; its k + 1 doubles come between the
+    fifth and the sixth. A draw on one value takes no half-word. Every array
+    is read-only.
+    """
+
+    sizes: np.ndarray       # (6 * trials,) range size of each bounded draw
+    thresholds: np.ndarray  # Lemire's threshold 2**32 % size of each draw
+    words: np.ndarray       # the word holding each draw's last half-word
+    shifts: np.ndarray      # 0 where that half-word is a low half, 32 where high
+    buffered: int           # leading draws whose last half-word is the starting buffer
+    doubles: np.ndarray     # (trials, k + 1) word of each trial's doubles
+    used: int               # words read through the last draw
+    has_uint32: int         # numpy's half-word buffer flag after the last draw
+    last_word: int          # the word whose high half numpy buffers last
+
+
+@functools.lru_cache(maxsize=128)
+def _draw_layout(n: int, k: int, trials: int, has_uint32: int,
+                 rejections: tuple = ()) -> _Layout:
+    """The layout of `trials` trials' draws, starting from numpy's half-word
+    buffer flag `has_uint32`, when each draw index in `rejections` (once per
+    rejection) takes one more half-word and no other draw is rejected.
+
+    Half-words are taken in draw order: the buffer's high half when
+    `has_uint32` is set, else the low half of the next unread word, which
+    sets the flag. Doubles take whole words and leave the buffer alone.
+    """
+    sizes = np.tile(np.array([n - 3, n - 2, n - 1, 3, 2, k], dtype=np.uint64), trials)
+    counts = (sizes > 1).astype(np.intp)
+    np.add.at(counts, np.array(rejections, dtype=np.intp), 1)
+    # q: index of each draw's last half-word among those taken from unread
+    # words (-1 is the starting buffer); pair r of them is word r's two halves
+    q = np.cumsum(counts) - 1 - has_uint32
+    # half-words taken from unread words before each trial's doubles
+    before = q[4::6] + 1
+    pairs = (int(q[-1]) + 2) // 2
+    r = np.arange(pairs)
+    # a pair's word follows the doubles of every trial whose block precedes its low half
+    pair_words = (k + 1) * np.searchsorted(before, 2 * r, side="right") + r
+    taken = np.maximum(q, 0)
+    doubles = ((k + 1) * np.arange(trials) + (before + 1) // 2)[:, None] + np.arange(k + 1)
+    arrays = dict(sizes=sizes, thresholds=(1 << 32) % sizes, words=pair_words[taken // 2],
+                  shifts=(taken % 2 * 32).astype(np.uint64), doubles=doubles)
+    for array in arrays.values():
+        array.flags.writeable = False
+    return _Layout(**arrays, buffered=int(np.count_nonzero(q < 0)),
+                   used=(k + 1) * trials + pairs, has_uint32=(int(q[-1]) + 1) % 2,
+                   last_word=int(pair_words[-1]))
+
+
+# numpy's shuffle of three picks (swap place 2 with s2, then place 1 with
+# s1) as the order it leaves them in, for each (s2, s1)
+_SHUFFLES = np.array([[[1, 2, 0], [2, 1, 0]],
+                      [[2, 0, 1], [0, 2, 1]],
+                      [[1, 0, 2], [0, 1, 2]]])
+_SHUFFLES.flags.writeable = False
 
 
 def _pcg64_draws(rng: np.random.Generator, n: int, k: int, trials: int,
                  cfg: DEConfig):
-    """The first `trials` entries of `_method_draws`, decoded from one bulk
-    read of the PCG64 bit generator's raw words.
+    """`_method_draws(rng, n, k, trials, cfg)`, decoded from one bulk read of
+    the PCG64 bit generator's raw words.
 
     Numpy draws every double from one whole word, `(w >> 11) * 2**-53`, and
     every bounded integer below 2**32 from one 32-bit half-word with Lemire
     rejection; half-words come from the generator's `has_uint32` buffer (the
     high half of the word whose low half was used last) or else from the low
-    half of the next word. Per trial, `choice` takes Floyd's three draws on
-    [0, j] for j = n-4 .. n-2 (a j of 0 draws nothing) and shuffles with two
-    draws on [0, 2] and [0, 1]; `uniform` takes one double, `random(k)` k
-    doubles, and `integers(k)` one draw on [0, k-1] (nothing when k is 1).
-    The generator is left exactly where those calls would leave it.
+    half of the next word. Per trial, `choice` takes Floyd's three draws and
+    shuffles with two more, `uniform` takes one double, `random(k)` k
+    doubles, and `integers(k)` one draw (see `_Layout`). Every half-word the
+    layout accepts is tested against its Lemire threshold at once; the first
+    rejected draw takes one more half-word and the layout is made again. The
+    generator is left exactly where the method calls would leave it.
 
     Returns None, with the generator untouched, when `rng` is not a plain
     Generator on PCG64, when the calls would raise (`choice` on a population
@@ -153,65 +229,55 @@ def _pcg64_draws(rng: np.random.Generator, n: int, k: int, trials: int,
         return None
     bg = rng.bit_generator
     start = bg.state
-    has32, buf = start["has_uint32"], start["uinteger"]
     words = bg.random_raw(trials * (k + 1 + _SPARE_WORDS))
-    raw = memoryview(words)
-    p = 0
-
-    def bounded(size, threshold):
-        """A Lemire draw on [0, size) from the half-word stream."""
-        nonlocal p, has32, buf
-        if size == 1:
-            return 0
-        while True:
-            if has32:
-                has32 = 0
-                half = buf
-            else:
-                word = raw[p]
-                p += 1
-                half = word & 0xFFFFFFFF
-                buf = word >> 32
-                has32 = 1
-            m = half * size
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-    # (range size, Lemire threshold) of each bounded draw, in draw order
-    floyd_and_shuffle = [(j + 1, (1 << 32) % (j + 1)) for j in (n - 4, n - 3, n - 2, 2, 1)]
-    crossover = (k, (1 << 32) % k)
-    donors, blocks, forced = [], [], []
-    try:
-        for i in range(trials):
-            a, b, c, s2, s1 = [bounded(*draw) for draw in floyd_and_shuffle]
-            # the doubles of uniform and random(k) come before integers(k)
-            blocks.append(p)
-            p += k + 1
-            forced.append(bounded(*crossover))
-            # Floyd: a value already taken is replaced by its draw's upper end
-            if b == a:
-                b = n - 3
-            if c == a or c == b:
-                c = n - 2
-            # then numpy's shuffle: swap place 2 with s2, then place 1 with s1
-            picked = [a, b, c]
-            picked[s2], picked[2] = picked[2], picked[s2]
-            picked[s1], picked[1] = picked[1], picked[s1]
-            # position v in target i's donor pool is individual v + (v >= i)
-            donors.append([v + (v >= i) for v in picked])
-    except IndexError:
-        bg.state = start
-        return None
-    bg.advance(p - words.size)  # step back over the words left unread
+    rejections = ()
+    while True:
+        layout = _draw_layout(n, k, trials, start["has_uint32"], rejections)
+        if layout.used > words.size:
+            bg.state = start
+            return None
+        halves = (words[layout.words] >> layout.shifts) & 0xFFFFFFFF
+        halves[:layout.buffered] = start["uinteger"]
+        products = halves * layout.sizes
+        rejected = (products & 0xFFFFFFFF) < layout.thresholds
+        if not rejected.any():
+            break
+        rejections += (int(rejected.argmax()),)
+    bg.advance(layout.used - words.size)  # step back over the words left unread
     end = bg.state
-    end["has_uint32"], end["uinteger"] = has32, buf
+    end["has_uint32"] = layout.has_uint32
+    end["uinteger"] = int(words[layout.last_word] >> 32)
     bg.state = end
 
-    doubles = (words[np.add.outer(blocks, np.arange(k + 1))] >> 11) * 2.0 ** -53
-    scales = (f_low + (f_high - f_low) * doubles[:, 0]).tolist()
+    values = (products >> 32).astype(np.intp).reshape(trials, 6)
+    a, b, c, s2, s1, forced = values.T  # views of the columns
+    # Floyd: a value already taken is replaced by its draw's upper end (c is
+    # compared with the replaced b)
+    values[:, 1] = np.where(b == a, n - 3, b)
+    values[:, 2] = np.where((c == a) | (c == b), n - 2, c)
+    targets = np.arange(trials)[:, None]
+    picked = values.ravel()[6 * targets + _SHUFFLES[s2, s1]]
+    # position v in target i's donor pool is individual v + (v >= i)
+    donors = picked + (picked >= targets)
+    doubles = (words[layout.doubles] >> 11) * 2.0 ** -53
+    scales = f_low + (f_high - f_low) * doubles[:, 0]
     masks = doubles[:, 1:] <= cfg.cr
-    masks[np.arange(trials), forced] = True
-    return zip(donors, scales, masks)
+    masks[targets[:, 0], forced] = True
+    return donors, scales, masks
+
+
+def _trial_rows(subs, r1, r2, r3, scale, keep, target, lo, hi):
+    """rand/1/bin trial coordinates: the mutant `subs[r1] + scale * (subs[r2]
+    - subs[r3])`, with the target's coordinates where `keep` is set, clamped
+    to [lo, hi]. Takes one trial (integer donors) or many (donor arrays, one
+    row of `scale`, `keep` and `target` each) and returns a new array."""
+    rows = subs[r2] - subs[r3]
+    rows *= scale
+    rows += subs[r1]
+    np.copyto(rows, target, where=keep)
+    np.maximum(rows, lo, out=rows)
+    np.minimum(rows, hi, out=rows)
+    return rows
 
 
 def _generation_on(population: list[Candidate], coords: np.ndarray,
@@ -227,25 +293,35 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
     False when the budget ran out mid-generation; the completed replacements
     are kept and the rest of the generation is abandoned.
 
-    A numpy Generator on PCG64 has all draws of the trials that draw (those
-    up to and including the one that meets BudgetExhausted) decoded before
-    the first trial; any other generator is called trial by trial.
+    The draws of the trials that draw (those up to and including the one
+    that meets BudgetExhausted) are taken before the first trial: decoded
+    on a numpy Generator on PCG64, else from the generator's methods. Their
+    trial rows are then built in one pass from the start-of-generation
+    population; a trial whose donors were replaced earlier in the generation
+    builds its own row from the current ones instead.
     """
     box = ev.objective.box
     n = len(population)
     k = coords.size
     lo = box.lower[coords]
     hi = box.upper[coords]
-    draws = _pcg64_draws(rng, n, k, min(n, ev.remaining + 1), cfg)
+    trials = min(n, ev.remaining + 1)
+    draws = _pcg64_draws(rng, n, k, trials, cfg)
     if draws is None:
-        draws = _method_draws(rng, n, k, cfg)
+        draws = _method_draws(rng, n, k, trials, cfg)
+    donors, scales, masks = draws
+    keep = ~masks  # the coordinates each trial takes from its target
     # row i holds population[i].position[coords], kept current on replacement
     subs = np.array([c.position for c in population])[:, coords]
-    for i, ((r1, r2, r3), scale, mask) in enumerate(draws):
-        mutant = subs[r1] + scale * (subs[r2] - subs[r3])
-        sub = np.where(mask, mutant, subs[i])
-        np.maximum(sub, lo, out=sub)
-        np.minimum(sub, hi, out=sub)
+    # target row i cannot change before trial i, so only a replaced donor
+    # makes a precomputed row stale
+    rows = _trial_rows(subs, *donors.T, scales[:, None], keep, subs[:trials], lo, hi)
+    replaced = [False] * n
+    for i, (r1, r2, r3) in enumerate(donors.tolist()):
+        if replaced[r1] or replaced[r2] or replaced[r3]:
+            sub = _trial_rows(subs, r1, r2, r3, scales[i], keep[i], subs[i], lo, hi)
+        else:
+            sub = rows[i]
         if context is None:
             point = sub
         else:
@@ -256,8 +332,11 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
         except BudgetExhausted:
             return False
         if value <= population[i].value:
+            if point.base is rows:
+                point = point.copy()  # hold no view of the generation's rows
             population[i] = Candidate(point, value)
             subs[i] = sub
+            replaced[i] = True
     return True
 
 

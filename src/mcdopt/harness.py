@@ -399,6 +399,8 @@ def _read_results(out_dir: str) -> list[dict]:
         except (TypeError, ValueError):
             # a short row leaves None in its missing fields
             raise ConfigError(f"{path}, line {line}: cannot parse row") from None
+        if not math.isfinite(rows[-1]["final_error"]):
+            raise ConfigError(f"{path}, line {line}: final_error is not finite")
     return rows
 
 
@@ -409,11 +411,14 @@ def _read_trace(out_dir: str, algorithm: str, function: str, seed: int):
             reader = csv.reader(handle)
             if next(reader, None) != ["nfe", "best_value"]:
                 raise ConfigError(f"{path}: expected the header nfe,best_value")
-            return [(int(nfe), float(value)) for nfe, value in reader]
+            rows = [(int(nfe), float(value)) for nfe, value in reader]
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except (ValueError, csv.Error):
         raise ConfigError(f"{path}: cannot parse trace rows") from None
+    if not all(math.isfinite(value) for _, value in rows):
+        raise ConfigError(f"{path}: trace values must be finite")
+    return rows
 
 
 # meta.json keys that report_from_dir reads without a default

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from mcdopt.core import Box, Objective, OutOfBox, named_stream
+from mcdopt.core import Box, BudgetExhausted, Candidate, Objective, OutOfBox, named_stream
 
 
 def sphere_objective(dim, low=-100.0, high=100.0, shift=None, optimum=0.0):
@@ -147,6 +147,41 @@ def reference_value(fn, x):
         partial = np.cumsum(z)
         return float(partial @ partial)
     raise ValueError(f"unknown base formula '{fn.base}'")
+
+
+def reference_generation(population, coords, context, cfg, ev, rng):
+    """One rand/1/bin generation trial by trial, as a generation ran before
+    its draws and trial rows were taken in bulk: each trial calls the
+    generator's four methods just before it, builds its one row with the
+    mutant, `np.where` crossover and clamp from the current population, and
+    replaces its target at once when not worse. Returns False when the
+    budget runs out mid-generation."""
+    n = len(population)
+    lo = ev.objective.box.lower[coords]
+    hi = ev.objective.box.upper[coords]
+    f_low, f_high = cfg.f_range
+    for i in range(n):
+        pool = np.array([j for j in range(n) if j != i])
+        r1, r2, r3 = rng.choice(pool, size=3, replace=False)
+        scale = rng.uniform(f_low, f_high)
+        mask = rng.random(coords.size) <= cfg.cr
+        mask[int(rng.integers(coords.size))] = True
+        rows = [c.position[coords] for c in population]
+        mutant = rows[r1] + scale * (rows[r2] - rows[r3])
+        sub = np.where(mask, mutant, rows[i])
+        sub = np.minimum(np.maximum(sub, lo), hi)
+        if context is None:
+            point = sub
+        else:
+            point = context.copy()
+            point[coords] = sub
+        try:
+            value = ev(point)
+        except BudgetExhausted:
+            return False
+        if value <= population[i].value:
+            population[i] = Candidate(point, value)
+    return True
 
 
 def output_digest(out_dir):

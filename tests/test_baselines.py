@@ -1,6 +1,7 @@
 """Tests for the two comparison optimizers and the delta-grouping rules."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,13 @@ from mcdopt.core import (
     named_stream,
 )
 
-from helpers import Recorder, ScriptedRNG, chunked_by_delta, sphere_objective
+from helpers import (
+    Recorder,
+    ScriptedRNG,
+    chunked_by_delta,
+    reference_generation,
+    sphere_objective,
+)
 
 
 class TestConfigs:
@@ -51,6 +58,10 @@ class TestConfigs:
             DEConfig(cr=1.5)
         with pytest.raises(ValueError):
             DEConfig(f_range=(0.9, 0.2))
+        for f_range in ((0.2, math.inf), (math.nan, 0.5), (-math.inf, 0.5),
+                        (0.2, math.nan), math.inf):
+            with pytest.raises(ValueError):
+                DEConfig(pop_size=5, f_range=f_range)
 
     def test_cc_defaults(self):
         cfg = CCConfig()
@@ -63,6 +74,9 @@ class TestConfigs:
             CCConfig(cr=-0.1)
         with pytest.raises(ValueError):
             CCConfig(num_groups=0)
+        for f in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                CCConfig(pop_size=5, f=f, num_groups=1)
 
 
 def _seeded_population(positions, ev):
@@ -384,8 +398,8 @@ def _assert_same_draws(rng, n, k, trials, cfg):
     """Decode `trials` trials from `rng` and check them, and where they leave
     the generator, against the method calls on a twin."""
     twin = _twin(rng)
-    got = list(_pcg64_draws(rng, n, k, trials, cfg))
-    want = list(itertools.islice(_method_draws(twin, n, k, cfg), trials))
+    got = list(zip(*_pcg64_draws(rng, n, k, trials, cfg)))
+    want = list(zip(*_method_draws(twin, n, k, trials, cfg)))
     assert len(got) == trials
     for (donors, scale, mask), (want_donors, want_scale, want_mask) in zip(got, want):
         assert [int(r) for r in donors] == want_donors.tolist()
@@ -441,13 +455,15 @@ class TestDecodedDraws:
         (1, 0, 49),  # Floyd on [0, 48]
         (1, 1, 3),   # shuffle on [0, 2]
         (2, 1, 3),   # integers(3), after the block of four doubles
+        (0, 2, 47),  # Floyd on [0, 46], rejected twice
     ])
     def test_lemire_rejection(self, offset, half, size):
         # from an empty half-word buffer, trial 0's bounded draws read the
         # low, then the high half of words 0, 1 and 2; a half-word of 0
         # leaves 0 below Lemire's threshold 2**32 % size, so it is rejected
+        # (half 2 zeroes both halves)
         assert (1 << 32) % size > 0
-        word = 0x9E3779B9 << 32 if half == 0 else 0x9E3779B9
+        word = {0: 0x9E3779B9 << 32, 1: 0x9E3779B9, 2: 0}[half]
         rng = named_stream(offset, "reject")
         _place_word(rng, offset, word)
         assert _twin(rng).bit_generator.random_raw(offset + 1)[-1] == word
@@ -484,3 +500,60 @@ class TestDecodedDraws:
             outcomes.append(([(c.position.tobytes(), c.value) for c in population],
                              gen.bit_generator.state))
         assert outcomes[0] == outcomes[1]
+
+
+def _mostly_accepting(dim):
+    """An objective whose values fall with every call but each fifth, so most
+    trials replace their targets and later trials draw on replaced donors."""
+    calls = itertools.count(1)
+
+    def fn(x):
+        call = next(calls)
+        return 1e9 if call % 5 == 0 else 1e-9 * float(x @ x) - call
+
+    return Objective(fn, Box(np.full(dim, -5.0), np.full(dim, 5.0)))
+
+
+class TestReferenceGeneration:
+    @pytest.mark.parametrize("n, dim, k", [
+        (4, 3, 3), (5, 6, 2), (12, 10, 10), (12, 10, 1), (50, 100, 100), (50, 100, 10)])
+    @pytest.mark.parametrize("objective", ["sphere", "mostly accepting"])
+    @pytest.mark.parametrize("method_calls", [False, True])
+    def test_generations_equal_the_reference(self, n, dim, k, objective, method_calls):
+        # k == dim is plain DE; otherwise a CC context supplies the other
+        # coordinates. Two whole generations, then the budget cuts the third
+        # at its first, second, middle or last trial, or the fourth.
+        coords = np.arange(dim) if k == dim else named_stream(dim, "ref").permutation(dim)[:k]
+        for remaining in (0, 1, n // 2, n - 1, n + 3):
+            outcomes = []
+            for generation in (_generation_on, reference_generation):
+                if objective == "sphere":
+                    obj = sphere_objective(dim, low=-5.0, high=5.0,
+                                           shift=np.linspace(-2.0, 3.0, dim))
+                else:
+                    obj = _mostly_accepting(dim)
+                ev = BudgetedEvaluator(obj, 3 * n + remaining)
+                population = _init_population(n, ev, named_stream(dim, "ref-init"))
+                rng = named_stream(n + k, "ref-gen")
+                if method_calls and generation is _generation_on:
+                    rng = _twin(rng)
+                generations = []
+                completed = True
+                while completed:
+                    before = list(population)
+                    context = None if k == dim else ev.best.position
+                    completed = generation(population, coords, context,
+                                           DEConfig(pop_size=n), ev, rng)
+                    generations.append(
+                        (completed, [(c.position.tobytes(), c.value) for c in population]))
+                    if generation is _generation_on:
+                        # each position owns its memory, so no candidate keeps a
+                        # generation's trial rows alive, and no two overlap
+                        assert all(c.position.base is None for c in population)
+                        for a, b in itertools.combinations(population, 2):
+                            assert not np.shares_memory(a.position, b.position)
+                        if objective != "sphere" and len(generations) == 1:
+                            assert sum(a is not b for a, b in zip(before, population)) > n / 2
+                outcomes.append((generations, ev.used_nfe, ev.trace, rng.bit_generator.state))
+            assert outcomes[0] == outcomes[1]
+            assert len(outcomes[0][0]) == (3 if remaining < n else 4)

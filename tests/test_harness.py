@@ -489,7 +489,8 @@ class TestCli:
         "meta json", "meta key", "meta not object", "meta types grid strings",
         "meta types grid scalar", "meta types dim float", "meta types repeats bool",
         "meta tie_epsilon string", "meta tie_epsilon negative", "meta tie_epsilon bool",
-        "missing cell", "duplicate seed", "missing seed", "results not utf-8"])
+        "missing cell", "duplicate seed", "missing seed", "results not utf-8",
+        "results nan", "results inf", "trace nan", "trace inf"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
         if damage in ("missing cell", "duplicate seed", "missing seed"):
@@ -509,14 +510,16 @@ class TestCli:
         elif damage == "results header":
             text = _read_bytes(results).decode()
             _write(results, text.replace("algorithm,", "algo,", 1))
-        elif damage == "results number":
+        elif damage in ("results number", "results nan", "results inf"):
             lines = _read_bytes(results).decode().splitlines()
             fields = lines[1].split(",")
-            fields[6] = "not-a-number"
+            fields[6] = {"results number": "not-a-number", "results nan": "nan",
+                         "results inf": "inf"}[damage]
             _write(results, "\n".join([lines[0], ",".join(fields)]) + "\n")
-        elif damage == "trace number":
+        elif damage in ("trace number", "trace nan", "trace inf"):
             text = _read_bytes(trace).decode()
-            _write(trace, text + "121,oops\n")
+            value = {"trace number": "oops", "trace nan": "nan", "trace inf": "-inf"}[damage]
+            _write(trace, text + f"121,{value}\n")
         elif damage == "meta json":
             _write(meta, "{oops")
         elif damage == "meta not object":
