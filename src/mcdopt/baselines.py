@@ -10,10 +10,12 @@ crossover index, in that order. A generation takes the draws of all its
 trials before the first: on a numpy Generator over PCG64 (every
 `named_stream`) it decodes them from one bulk read of raw words as arrays,
 with the same values and the same final generator state as the method
-calls; any other generator is called trial by trial. It then builds every
-trial row in one pass from the start-of-generation population, and only a
-trial whose donors were replaced earlier in the generation builds its own
-again. Since the draws are taken per generation, an OutOfBox or
+calls. A generation where numpy would redraw a Lemire rejection (below
+size / 2**32 per bounded draw), like every generation on any other
+generator, is drawn trial by trial through the generator's methods. It then
+builds every trial row in one pass from the start-of-generation population,
+and only a trial whose donors were replaced earlier in the generation builds
+its own again. Since the draws are taken per generation, an OutOfBox or
 NonFiniteValue that escapes a generation leaves any generator further along
 than trial-by-trial calls would.
 """
@@ -52,8 +54,8 @@ class DEConfig:
         if isinstance(self.f_range, (int, float)):
             self.f_range = (float(self.f_range), float(self.f_range))
         low, high = self.f_range
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise ValueError("f_range bounds must be finite")
+        if not math.isfinite(high - low):
+            raise ValueError("f_range bounds and their width must be finite")
         if low > high:
             raise ValueError("f_range low must not exceed high")
 
@@ -111,13 +113,6 @@ def _donor_table(n: int) -> np.ndarray:
     return columns + (columns >= np.arange(n)[:, None])
 
 
-# Raw 64-bit words read per trial besides its k + 1 doubles: one for each of
-# its (at most six) bounded draws. Only Lemire rejections, each with
-# probability below size / 2**32, can need more; a generation whose read runs
-# short is drawn through the generator's own methods instead.
-_SPARE_WORDS = 6
-
-
 def _method_draws(rng, n: int, k: int, trials: int, cfg: DEConfig):
     """The draws of trials 0 .. trials-1 from the generator's own methods,
     called trial by trial in order.
@@ -161,11 +156,9 @@ class _Layout(NamedTuple):
 
 
 @functools.lru_cache(maxsize=128)
-def _draw_layout(n: int, k: int, trials: int, has_uint32: int,
-                 rejections: tuple = ()) -> _Layout:
+def _draw_layout(n: int, k: int, trials: int, has_uint32: int) -> _Layout:
     """The layout of `trials` trials' draws, starting from numpy's half-word
-    buffer flag `has_uint32`, when each draw index in `rejections` (once per
-    rejection) takes one more half-word and no other draw is rejected.
+    buffer flag `has_uint32`, when no draw is rejected.
 
     Half-words are taken in draw order: the buffer's high half when
     `has_uint32` is set, else the low half of the next unread word, which
@@ -173,7 +166,6 @@ def _draw_layout(n: int, k: int, trials: int, has_uint32: int,
     """
     sizes = np.tile(np.array([n - 3, n - 2, n - 1, 3, 2, k], dtype=np.uint64), trials)
     counts = (sizes > 1).astype(np.intp)
-    np.add.at(counts, np.array(rejections, dtype=np.intp), 1)
     # q: index of each draw's last half-word among those taken from unread
     # words (-1 is the starting buffer); pair r of them is word r's two halves
     q = np.cumsum(counts) - 1 - has_uint32
@@ -213,15 +205,15 @@ def _pcg64_draws(rng: np.random.Generator, n: int, k: int, trials: int,
     high half of the word whose low half was used last) or else from the low
     half of the next word. Per trial, `choice` takes Floyd's three draws and
     shuffles with two more, `uniform` takes one double, `random(k)` k
-    doubles, and `integers(k)` one draw (see `_Layout`). Every half-word the
-    layout accepts is tested against its Lemire threshold at once; the first
-    rejected draw takes one more half-word and the layout is made again. The
-    generator is left exactly where the method calls would leave it.
+    doubles, and `integers(k)` one draw (see `_Layout`). The read takes
+    exactly the words the draws use when none is rejected, and every
+    half-word is tested against its Lemire threshold at once. The generator
+    is left exactly where the method calls would leave it.
 
     Returns None, with the generator untouched, when `rng` is not a plain
     Generator on PCG64, when the calls would raise (`choice` on a population
-    below 4, `uniform` on an infinite f_high - f_low), or when the read fell
-    short.
+    below 4, `uniform` on an infinite f_high - f_low), or when a draw is
+    rejected, so that the caller redraws through the generator's methods.
     """
     f_low, f_high = cfg.f_range
     if (type(rng) is not np.random.Generator or type(rng.bit_generator) is not np.random.PCG64
@@ -229,21 +221,14 @@ def _pcg64_draws(rng: np.random.Generator, n: int, k: int, trials: int,
         return None
     bg = rng.bit_generator
     start = bg.state
-    words = bg.random_raw(trials * (k + 1 + _SPARE_WORDS))
-    rejections = ()
-    while True:
-        layout = _draw_layout(n, k, trials, start["has_uint32"], rejections)
-        if layout.used > words.size:
-            bg.state = start
-            return None
-        halves = (words[layout.words] >> layout.shifts) & 0xFFFFFFFF
-        halves[:layout.buffered] = start["uinteger"]
-        products = halves * layout.sizes
-        rejected = (products & 0xFFFFFFFF) < layout.thresholds
-        if not rejected.any():
-            break
-        rejections += (int(rejected.argmax()),)
-    bg.advance(layout.used - words.size)  # step back over the words left unread
+    layout = _draw_layout(n, k, trials, start["has_uint32"])
+    words = bg.random_raw(layout.used)
+    halves = (words[layout.words] >> layout.shifts) & 0xFFFFFFFF
+    halves[:layout.buffered] = start["uinteger"]
+    products = halves * layout.sizes
+    if ((products & 0xFFFFFFFF) < layout.thresholds).any():
+        bg.state = start
+        return None
     end = bg.state
     end["has_uint32"] = layout.has_uint32
     end["uinteger"] = int(words[layout.last_word] >> 32)

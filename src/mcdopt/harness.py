@@ -401,6 +401,9 @@ def _read_results(out_dir: str) -> list[dict]:
             raise ConfigError(f"{path}, line {line}: cannot parse row") from None
         if not math.isfinite(rows[-1]["final_error"]):
             raise ConfigError(f"{path}, line {line}: final_error is not finite")
+        # the names become trace and chart paths, so only those run writes pass
+        if raw["algorithm"] not in ALGORITHMS or raw["function"] not in SUITE_NAMES:
+            raise ConfigError(f"{path}, line {line}: unknown algorithm or function")
     return rows
 
 
@@ -425,6 +428,7 @@ def _read_trace(out_dir: str, algorithm: str, function: str, seed: int):
 _META_KEYS = ("dim", "max_nfe", "repeats", "trace_grid")
 
 
+@np.errstate(over="ignore")  # an overflowing mean is a ConfigError, not a warning
 def report_from_dir(out_dir: str) -> ExperimentReport:
     """Build summary.json and the per-function charts from the files in
     `out_dir`, returning the aggregate report."""
@@ -476,6 +480,11 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     # mean final error per cell, repeats in file order
     mean_errors = {key: float(np.mean([row["final_error"] for row in cell]))
                    for key, cell in buckets.items()}
+    # finite errors can still overflow their sum
+    for (algorithm, name), mean in mean_errors.items():
+        if not math.isfinite(mean):
+            raise ConfigError(f"{out_dir}: the mean final_error of {algorithm} on "
+                              f"{name} is not finite")
     baselines = [a for a in algorithms if a != "mcd"] if "mcd" in algorithms else []
     aggregate = {}
     for name in functions:
@@ -520,7 +529,10 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
                 values = [d[index] for d in dense if d[index] is not None]
                 if values:
                     points.append((float(checkpoint), float(np.mean(values))))
-            series.append((algorithm, ALGORITHM_COLORS.get(algorithm, "#555555"), points))
+            if not all(math.isfinite(value) for _, value in points):
+                raise ConfigError(f"{out_dir}: the mean trace of {algorithm} on "
+                                  f"{name} is not finite")
+            series.append((algorithm, ALGORITHM_COLORS[algorithm], points))
         path = os.path.join(plots_dir, f"{name}.svg")
         _write_text(path, convergence_svg(f"{name} (dim {meta['dim']})", series))
         plot_paths.append(path)

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from mcdopt import baselines
 from mcdopt.baselines import (
     CCConfig,
     CCState,
@@ -59,7 +58,7 @@ class TestConfigs:
         with pytest.raises(ValueError):
             DEConfig(f_range=(0.9, 0.2))
         for f_range in ((0.2, math.inf), (math.nan, 0.5), (-math.inf, 0.5),
-                        (0.2, math.nan), math.inf):
+                        (0.2, math.nan), math.inf, (-1e308, 1e308)):
             with pytest.raises(ValueError):
                 DEConfig(pop_size=5, f_range=f_range)
 
@@ -467,6 +466,22 @@ class TestDecodedDraws:
         rng = named_stream(offset, "reject")
         _place_word(rng, offset, word)
         assert _twin(rng).bit_generator.random_raw(offset + 1)[-1] == word
+        before = rng.bit_generator.state
+        assert _pcg64_draws(rng, 50, 3, 2, DEConfig()) is None
+        assert rng.bit_generator.state == before
+        # so the generation draws through the methods, as a twin does
+        outcomes = []
+        for gen in (rng, _twin(rng)):
+            ev = BudgetedEvaluator(sphere_objective(3), 100)
+            population = _init_population(50, ev, named_stream(offset, "reject-init"))
+            _generation_on(population, np.arange(3), None, DEConfig(), ev, gen)
+            outcomes.append(([(c.position.tobytes(), c.value) for c in population],
+                             ev.trace, ev.used_nfe, gen.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        # past the rejected word, the draws decode again
+        rng = named_stream(offset, "reject")
+        _place_word(rng, offset, word)
+        rng.bit_generator.advance(offset + 1)
         _assert_same_draws(rng, 50, 3, 2, DEConfig())
 
     def test_method_calls_where_decoding_does_not_apply(self):
@@ -477,29 +492,15 @@ class TestDecodedDraws:
         rng = named_stream(1, "odd")
         before = rng.bit_generator.state
         assert _pcg64_draws(rng, 3, 4, 3, cfg) is None
-        assert _pcg64_draws(rng, 8, 4, 8, DEConfig(f_range=(-1e308, 1e308))) is None
+        wide = DEConfig()
+        wide.f_range = (-1e308, 1e308)  # a width DEConfig itself rejects
+        assert _pcg64_draws(rng, 8, 4, 8, wide) is None
         assert rng.bit_generator.state == before
         # so the calls raise as they always did
         ev = BudgetedEvaluator(sphere_objective(2), 100)
         population = _init_population(3, ev, named_stream(1, "odd-init"))
         with pytest.raises(ValueError):
             _generation_on(population, np.arange(2), None, cfg, ev, rng)
-
-    def test_short_read_falls_back_to_method_calls(self, monkeypatch):
-        monkeypatch.setattr(baselines, "_SPARE_WORDS", 0)
-        rng = named_stream(3, "short")
-        before = rng.bit_generator.state
-        assert _pcg64_draws(rng, 8, 4, 8, DEConfig(pop_size=8)) is None
-        assert rng.bit_generator.state == before
-        outcomes = []
-        for gen in (rng, _twin(rng)):
-            obj = sphere_objective(4)
-            ev = BudgetedEvaluator(obj, 20)
-            population = _init_population(8, ev, named_stream(3, "short-init"))
-            _generation_on(population, np.arange(4), None, DEConfig(pop_size=8), ev, gen)
-            outcomes.append(([(c.position.tobytes(), c.value) for c in population],
-                             gen.bit_generator.state))
-        assert outcomes[0] == outcomes[1]
 
 
 def _mostly_accepting(dim):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -490,16 +491,18 @@ class TestCli:
         "meta types grid scalar", "meta types dim float", "meta types repeats bool",
         "meta tie_epsilon string", "meta tie_epsilon negative", "meta tie_epsilon bool",
         "missing cell", "duplicate seed", "missing seed", "results not utf-8",
-        "results nan", "results inf", "trace nan", "trace inf"])
+        "results nan", "results inf", "trace nan", "trace inf", "mean overflow",
+        "trace mean overflow", "algorithm path", "unknown function"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
-        if damage in ("missing cell", "duplicate seed", "missing seed"):
+        two_seeds = ("duplicate seed", "missing seed", "mean overflow", "trace mean overflow")
+        if damage in ("missing cell",) + two_seeds:
             config.algorithms = ["mcd", "de"]
             config.functions = ["sphere", "ackley"]
         else:
             config.algorithms = ["de"]
             config.functions = ["sphere"]
-        config.repeats = 2 if damage in ("duplicate seed", "missing seed") else 1
+        config.repeats = 2 if damage in two_seeds else 1
         run_grid(config)
         out = tmp_path / "out"
         results = out / "results.csv"
@@ -535,6 +538,28 @@ class TestCli:
         elif damage == "missing seed":
             lines = _read_bytes(results).decode().splitlines(keepends=True)
             _write(results, "".join(l for l in lines if not l.startswith("de,sphere,4,12,")))
+        elif damage == "mean overflow":
+            # each error is finite, but their sum is not
+            lines = [l.split(",") for l in _read_bytes(results).decode().splitlines()]
+            for fields in lines:
+                if fields[:2] == ["de", "sphere"]:
+                    fields[6] = "1.7e308"
+            _write(results, "".join(",".join(fields) + "\n" for fields in lines))
+        elif damage == "trace mean overflow":
+            for seed in (11, 12):
+                path = out / "traces" / f"de__sphere__seed{seed}.csv"
+                lines = _read_bytes(path).decode().splitlines()
+                _write(path, "".join(f"{l.split(',')[0]},1.7e308\n" if i else l + "\n"
+                                     for i, l in enumerate(lines)))
+        elif damage == "algorithm path":
+            # a trace planted where the name leads, outside the directory
+            os.makedirs(tmp_path / "outside")
+            shutil.copy(trace, tmp_path / "outside" / "de__sphere__seed11.csv")
+            _write(results, _read_bytes(results).decode().replace(
+                "\nde,", "\n../../outside/de,"))
+        elif damage == "unknown function":
+            os.rename(trace, out / "traces" / "de__nosuch__seed11.csv")
+            _write(results, _read_bytes(results).decode().replace(",sphere,", ",nosuch,"))
         elif damage == "results not utf-8":
             # the last row's empty wall_ms field becomes the byte 0xe9
             results.write_bytes(_read_bytes(results)[:-1] + b"\xe9\n")
