@@ -399,9 +399,6 @@ def cc_cycle(state: CCState, cfg: CCConfig, ev: BudgetedEvaluator,
     vector: the global best at the start of the group supplies every
     coordinate outside the group.
     """
-    dim = ev.objective.box.dim
-    if cfg.num_groups > dim:
-        raise ValueError(f"num_groups {cfg.num_groups} exceeds dimension {dim}")
     groups = delta_grouping(np.abs(ev.best.position - state.anchor), cfg.num_groups)
     state.anchor = ev.best.position.copy()
     state.last_groups = groups

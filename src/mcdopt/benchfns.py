@@ -6,9 +6,9 @@ drawn from the middle 80 percent of the box, so error metrics and accuracy
 ratios are computable without any external data. Same (name, dim, seed)
 always reconstructs bit-identical shift vectors and rotation matrices.
 
-The rotated groups of a function all have one size m, so they are stored as
-two stacks built once per function: a `(groups, m)` index array and a
-`(groups, m, m)` matrix array. An evaluation rotates every group with one
+The rotated groups of a function all have one size m, so they exist only as
+two stacks that `make_function` draws once: a `(groups, m)` index array and
+a `(groups, m, m)` matrix array. An evaluation rotates every group with one
 stacked `np.matmul`, which gives the same bits as one `rot @ z[idx]` per
 group. The suite box is the symmetric cube [-BOX_HIGH, BOX_HIGH]^D, so
 `evaluate` checks a position's bounds with one reduction, the largest
@@ -69,10 +69,12 @@ class BenchFunction:
         partially-separable(m), fully-nonseparable.
     shift : ndarray
         The optimum position; the function value there is exactly 0.
-    groups : list of (indices, matrix) pairs
-        Disjoint coordinate groups of one size, rotated by orthogonal
-        matrices; views of the rotation stacks that `evaluate` uses. Empty
-        for unrotated functions.
+    rot_idx : ndarray or None
+        `(groups, m)` stack of disjoint, sorted coordinate groups of one
+        size; None for unrotated functions.
+    rot : ndarray or None
+        `(groups, m, m)` stack of the orthogonal matrices that rotate those
+        groups; None for unrotated functions.
     """
 
     # evaluate() rejects out-of-box positions itself, so BudgetedEvaluator
@@ -80,7 +82,7 @@ class BenchFunction:
     checks_bounds = True
 
     def __init__(self, name: str, base: str, category: str, dim: int,
-                 shift, groups=None, seed: int = 0):
+                 shift, rot_idx=None, rot=None, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be at least 1")
         shift = np.array(shift, dtype=float, copy=True)
@@ -92,16 +94,13 @@ class BenchFunction:
         self.dim = dim
         self.seed = seed
         self.shift = shift
-        groups = [] if groups is None else list(groups)
-        if len({len(idx) for idx, _ in groups}) > 1:
-            raise ValueError("rotated groups must all have one size")
-        # (groups, m) indices and (groups, m, m) matrices; None when unrotated
-        self._rot_idx = self._rot = None
-        self.groups = []
-        if groups:
-            self._rot_idx = np.array([idx for idx, _ in groups], dtype=np.intp)
-            self._rot = np.array([rot for _, rot in groups], dtype=float)
-            self.groups = list(zip(self._rot_idx, self._rot))
+        rotated = rot_idx is not None or rot is not None
+        if rotated and not (np.ndim(rot_idx) == 2 and np.shape(rot)
+                            == np.shape(rot_idx) + np.shape(rot_idx)[1:]):
+            raise ValueError("rot_idx must be a (groups, m) stack and rot a "
+                             "(groups, m, m) stack, or both None")
+        self.rot_idx = rot_idx
+        self.rot = rot
         self.box = Box(np.full(dim, BOX_LOW), np.full(dim, BOX_HIGH))
         self.optimum_value = 0.0
         if base == "elliptic":
@@ -123,9 +122,9 @@ class BenchFunction:
                 and np.maximum.reduce(np.abs(x)) <= BOX_HIGH):
             raise OutOfBox(f"{self.name}: position outside the function bounds")
         z = x - self.shift
-        if self._rot is not None:
-            idx = self._rot_idx
-            z[idx] = np.matmul(self._rot, z[idx][..., None])[..., 0]
+        if self.rot is not None:
+            idx = self.rot_idx
+            z[idx] = np.matmul(self.rot, z[idx][..., None])[..., 0]
         return self._base_value(z)
 
     def _base_value(self, z: np.ndarray) -> float:
@@ -167,21 +166,20 @@ def make_function(name: str, dim: int, seed: int) -> BenchFunction:
     rng = named_stream(seed, f"bench.{name}")
     half_span = (BOX_HIGH - BOX_LOW) / 2.0 * SHIFT_FRACTION
     shift = rng.uniform(-half_span, half_span, size=dim)
-    groups = None
+    rot_idx = rot = None
     if rotated:
         m = group_size(dim)
         count = dim // m
         perm = rng.permutation(dim)
-        groups = []
-        for k in range(count):
-            idx = np.sort(perm[k * m:(k + 1) * m])
-            sample = rng.standard_normal((m, m))
-            q, r = np.linalg.qr(sample)
-            sign = np.sign(np.diag(r))
-            sign[sign == 0] = 1.0
-            groups.append((idx, q * sign))
+        rot_idx = np.sort(perm[:count * m].reshape(count, m), axis=1)
+        # one stacked QR; the sign fix makes each rotation Haar-distributed
+        rot, r = np.linalg.qr(rng.standard_normal((count, m, m)))
+        sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
+        sign[sign == 0] = 1.0
+        rot *= sign[:, None, :]
         category = f"partially-separable({m})"
-    return BenchFunction(name, base, category, dim, shift, groups=groups, seed=seed)
+    return BenchFunction(name, base, category, dim, shift, rot_idx=rot_idx, rot=rot,
+                         seed=seed)
 
 
 def make_suite(dim: int, seed: int) -> list[BenchFunction]:

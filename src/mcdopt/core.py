@@ -77,10 +77,6 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
     def midpoint(self) -> np.ndarray:
         return self.lower + (self.upper - self.lower) / 2.0
 

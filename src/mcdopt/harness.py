@@ -61,7 +61,8 @@ def compute_iar(err_baseline: float, err_mcd: float) -> float:
 
     Values above 1 mean the coordinate-descent run ended closer to the
     optimum. A zero denominator yields +inf (flagged by the report writer
-    rather than raising); two exact-zero errors count as a tie of 1.
+    rather than raising); two exact-zero errors count as a tie of 1. A ratio
+    that overflows is inf as well, which the report writer rejects.
     """
     if err_mcd == 0.0:
         return 1.0 if err_baseline == 0.0 else math.inf
@@ -232,12 +233,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("trace_grid checkpoints must not exceed max_nfe")
     if not math.isfinite(config.tie_epsilon) or config.tie_epsilon < 0.0:
         raise ConfigError("tie_epsilon must be a finite number of at least 0")
-    if config.de_pop_size < 4:
-        raise ConfigError("de_pop_size must be at least 4 for rand/1 mutation")
-    if config.cc_pop_size < 4:
-        raise ConfigError("cc_pop_size must be at least 4 for rand/1 mutation")
-    if config.cc_groups < 1:
-        raise ConfigError("cc_groups must be at least 1")
+    # the baseline settings follow the rules of the configs they build
+    try:
+        DEConfig(pop_size=config.de_pop_size)
+        CCConfig(pop_size=config.cc_pop_size, num_groups=config.cc_groups)
+    except ValueError as exc:
+        raise ConfigError(f"baseline setting: {exc}") from None
     if "mcd" in config.algorithms:
         mcd.restart_plan(config.dim, config.max_iter, config.max_nfe)
 
@@ -431,7 +432,8 @@ _META_KEYS = ("dim", "max_nfe", "repeats", "trace_grid")
 @np.errstate(over="ignore")  # an overflowing mean is a ConfigError, not a warning
 def report_from_dir(out_dir: str) -> ExperimentReport:
     """Build summary.json and the per-function charts from the files in
-    `out_dir`, returning the aggregate report."""
+    `out_dir`, returning the aggregate report. Every input is read and
+    checked before the first file is written."""
     meta_path = os.path.join(out_dir, "meta.json")
     try:
         with open(meta_path, "r", encoding="utf-8") as handle:
@@ -490,6 +492,11 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     for name in functions:
         ratios = {b: compute_iar(mean_errors[b, name], mean_errors["mcd", name])
                   for b in baselines}
+        # an infinite ratio is flagged only for a zero mcd error; one that
+        # overflows from nonzero means is as broken as an overflowing mean
+        if any(map(math.isinf, ratios.values())) and mean_errors["mcd", name] != 0.0:
+            raise ConfigError(f"{out_dir}: an accuracy ratio to mcd on {name} "
+                              "is not finite")
         aggregate[name] = {
             "mean_error": {a: mean_errors[a, name] for a in algorithms},
             "iar": {b: "inf" if math.isinf(r) else r for b, r in ratios.items()},
@@ -513,12 +520,10 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
         "aggregate": aggregate,
         "wtl": wtl,
     }
-    summary_path = os.path.join(out_dir, "summary.json")
-    _write_text(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-    plots_dir = os.path.join(out_dir, "plots")
-    os.makedirs(plots_dir, exist_ok=True)
-    plot_paths = []
+    summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    # read and check every trace before the first write, so a damaged
+    # directory gets no summary.json and no chart
+    charts = {}
     for name in functions:
         series = []
         for algorithm in algorithms:
@@ -533,8 +538,16 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
                 raise ConfigError(f"{out_dir}: the mean trace of {algorithm} on "
                                   f"{name} is not finite")
             series.append((algorithm, ALGORITHM_COLORS[algorithm], points))
+        charts[name] = convergence_svg(f"{name} (dim {meta['dim']})", series)
+
+    summary_path = os.path.join(out_dir, "summary.json")
+    _write_text(summary_path, summary_text)
+    plots_dir = os.path.join(out_dir, "plots")
+    os.makedirs(plots_dir, exist_ok=True)
+    plot_paths = []
+    for name, text in charts.items():
         path = os.path.join(plots_dir, f"{name}.svg")
-        _write_text(path, convergence_svg(f"{name} (dim {meta['dim']})", series))
+        _write_text(path, text)
         plot_paths.append(path)
 
     return ExperimentReport(output_dir=out_dir, rows=rows, summary=summary,

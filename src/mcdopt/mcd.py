@@ -25,26 +25,9 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class RestartPlan:
-    """How many full-box restarts a budget funds, and what is left over."""
-
-    dim: int
-    max_iter: int
-    max_nfe: int
-    r_max: int
-
-    @property
-    def planned_nfe(self) -> int:
-        return 2 * self.dim * self.max_iter * self.r_max
-
-    @property
-    def unspent(self) -> int:
-        return self.max_nfe - self.planned_nfe
-
-
-def restart_plan(dim: int, max_iter: int, max_nfe: int) -> RestartPlan:
-    """Split a budget into restarts of exactly 2 * dim * max_iter evaluations.
+def restart_plan(dim: int, max_iter: int, max_nfe: int) -> int:
+    """How many restarts of exactly 2 * dim * max_iter evaluations a budget
+    funds; the remainder of the budget is left unspent.
 
     Raises InsufficientBudget when not even one restart fits.
     """
@@ -55,15 +38,7 @@ def restart_plan(dim: int, max_iter: int, max_nfe: int) -> RestartPlan:
         raise InsufficientBudget(
             f"mcd needs at least {per_restart} evaluations for dim {dim} "
             f"and max_iter {max_iter}, budget is {max_nfe}")
-    return RestartPlan(dim=dim, max_iter=max_iter, max_nfe=max_nfe,
-                       r_max=max_nfe // per_restart)
-
-
-def draw_permutation(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A uniformly random ordering of the dimension indices 0 .. dim-1."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return rng.permutation(dim)
+    return max_nfe // per_restart
 
 
 def roi_step(box: Box, x: np.ndarray, i: int, ev: BudgetedEvaluator) -> tuple:
@@ -130,7 +105,7 @@ class RunOutcome:
 
     best: Candidate
     restart_best: Candidate
-    plan: RestartPlan
+    restarts: int
     used_nfe: int
     trace: list[tuple[int, float]] = field(default_factory=list)
     steps: Optional[list[StepRecord]] = None
@@ -139,7 +114,8 @@ class RunOutcome:
 def run(objective, max_iter: int, max_nfe: int, seed: int,
         permutations: Optional[Sequence[Sequence[int]]] = None,
         record_steps: bool = False) -> RunOutcome:
-    """Run the complete budgeted search: r_max restarts from the original box.
+    """Run the complete budgeted search: `restart_plan` restarts from the
+    original box.
 
     Every restart begins at the box center, draws one dimension ordering from
     the "perm" stream of `seed`, and performs max_iter halving passes over all
@@ -147,10 +123,10 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
     ordering per restart explicitly (mainly for worked examples and tests);
     it must then provide exactly one ordering of integers per planned restart.
     """
-    plan = restart_plan(objective.dim, max_iter, max_nfe)
+    restarts = restart_plan(objective.dim, max_iter, max_nfe)
     ev = BudgetedEvaluator(objective, max_nfe)
-    if permutations is not None and len(permutations) != plan.r_max:
-        raise ValueError(f"need {plan.r_max} pinned permutations, got {len(permutations)}")
+    if permutations is not None and len(permutations) != restarts:
+        raise ValueError(f"need {restarts} pinned permutations, got {len(permutations)}")
 
     perm_rng = named_stream(seed, "perm")
     original = objective.box
@@ -158,7 +134,7 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
     steps: Optional[list[StepRecord]] = [] if record_steps else None
     restart_best: Optional[Candidate] = None
 
-    for r in range(plan.r_max):
+    for r in range(restarts):
         box = original.copy()
         x = box.midpoint()
         if permutations is not None:
@@ -167,7 +143,7 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
             if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(dim)):
                 raise ValueError(f"restart {r}: not a permutation of 0..{dim - 1}")
         else:
-            perm = draw_permutation(dim, perm_rng)
+            perm = perm_rng.permutation(dim)
         for it in range(max_iter):
             for i in perm.tolist():
                 probe = roi_step(box, x, i, ev)
@@ -182,5 +158,5 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
         if restart_best is None or value < restart_best.value:
             restart_best = Candidate(x, value)
 
-    return RunOutcome(best=ev.best, restart_best=restart_best, plan=plan,
+    return RunOutcome(best=ev.best, restart_best=restart_best, restarts=restarts,
                       used_nfe=ev.used_nfe, trace=ev.trace, steps=steps)

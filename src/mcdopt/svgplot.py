@@ -23,13 +23,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, float]]]],
-                    x_label: str = "evaluations", y_label: str = "best value") -> str:
+def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, float]]]]) -> str:
     """Render one chart as SVG text.
 
     `series` is a list of (label, color, points) with points given as
-    (evaluation count, value) pairs. The value axis is log10-scaled, the
-    evaluation axis is linear.
+    (evaluation count, value) pairs. The value axis ("best value") is
+    log10-scaled, the evaluation axis ("evaluations") is linear.
     """
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -89,10 +88,10 @@ def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, f
     # axis labels
     parts.append(f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{HEIGHT - 14}" '
                  f'font-family="sans-serif" font-size="12" '
-                 f'text-anchor="middle">{x_label}</text>')
+                 f'text-anchor="middle">evaluations</text>')
     parts.append(f'<text x="18" y="{MARGIN_TOP + plot_h // 2}" '
                  f'font-family="sans-serif" font-size="12" text-anchor="middle" '
-                 f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">{y_label}</text>')
+                 f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">best value</text>')
 
     # curves
     for label, color, points in series:

@@ -124,8 +124,9 @@ def reference_value(fn, x):
     if not fn.box.contains(x):
         raise OutOfBox(f"{fn.name}: position outside the function bounds")
     z = x - fn.shift
-    for idx, rot in fn.groups:
-        z[idx] = rot @ z[idx]
+    if fn.rot is not None:
+        for idx, rot in zip(fn.rot_idx, fn.rot):
+            z[idx] = rot @ z[idx]
     if fn.base == "sphere":
         return float(z @ z)
     if fn.base == "elliptic":
@@ -147,6 +148,25 @@ def reference_value(fn, x):
         partial = np.cumsum(z)
         return float(partial @ partial)
     raise ValueError(f"unknown base formula '{fn.base}'")
+
+
+def per_group_rotations(name, dim, seed):
+    """The rotation stacks of a grouped suite function, drawn one group at a
+    time: after the shift and the permutation, one `standard_normal((m, m))`
+    and one sign-fixed `qr` per group. Returns (rot_idx, rot)."""
+    rng = named_stream(seed, f"bench.{name}")
+    rng.uniform(-80.0, 80.0, size=dim)  # the shift is drawn first
+    m = min(dim, max(2, round(dim / 4)))
+    perm = rng.permutation(dim)
+    indices = []
+    matrices = []
+    for k in range(dim // m):
+        indices.append(np.sort(perm[k * m:(k + 1) * m]))
+        q, r = np.linalg.qr(rng.standard_normal((m, m)))
+        sign = np.sign(np.diag(r))
+        sign[sign == 0] = 1.0
+        matrices.append(q * sign)
+    return np.array(indices), np.array(matrices)
 
 
 def reference_generation(population, coords, context, cfg, ev, rng):

@@ -25,7 +25,7 @@ def test_budget_exactness():
         started = time.perf_counter()
         outcome = run(sphere_objective(dim), max_iter, max_nfe, seed=1)
         elapsed = time.perf_counter() - started
-        assert outcome.plan.r_max == expected_restarts
+        assert outcome.restarts == expected_restarts
         assert outcome.used_nfe == 2 * dim * max_iter * expected_restarts
         assert elapsed < 1.0
     print("PASS budget exactness: evaluation counts match 2*D*max_iter*r_max "
@@ -86,14 +86,15 @@ def test_geometric_shrinkage():
         ev = BudgetedEvaluator(obj, 2 * dim * 10)
         work = box.copy()
         x = work.midpoint()
-        original = box.width
+        original = box.upper - box.lower
         for k in range(1, 11):
             for i in range(dim):
                 px, py, _, _, keep_lower = roi_step(work, x, i, ev)
                 fold(work, i, keep_lower)
                 x = px if keep_lower else py
             expected = original / 2.0 ** k
-            assert np.all(np.abs(work.width - expected) <= 1e-12 * expected)
+            width = work.upper - work.lower
+            assert np.all(np.abs(width - expected) <= 1e-12 * expected)
     print("PASS geometric shrinkage: widths halve per pass for D in {1, 3, 50}, "
           "k up to 10, within relative 1e-12")
 

@@ -1,8 +1,13 @@
 """Tests for the seeded benchmark suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mcdopt
 from mcdopt.benchfns import (
     ADDITIVE_BASES,
     BOX_HIGH,
@@ -16,7 +21,7 @@ from mcdopt.benchfns import (
 )
 from mcdopt.core import BudgetedEvaluator, OutOfBox
 
-from helpers import reference_value
+from helpers import per_group_rotations, reference_value
 
 
 class TestSuiteStructure:
@@ -55,9 +60,9 @@ class TestSuiteStructure:
     def test_group_layout(self):
         fn = make_function("elliptic-group", 100, 4)
         m = group_size(100)
-        assert len(fn.groups) == 100 // m
+        assert len(fn.rot_idx) == len(fn.rot) == 100 // m
         seen = []
-        for idx, rot in fn.groups:
+        for idx, rot in zip(fn.rot_idx, fn.rot):
             assert list(idx) == sorted(idx)
             assert len(idx) == m
             assert rot.shape == (m, m)
@@ -70,9 +75,8 @@ class TestSuiteStructure:
         a = make_function("rastrigin-group", 12, 99)
         b = make_function("rastrigin-group", 12, 99)
         assert np.array_equal(a.shift, b.shift)
-        for (ia, ra), (ib, rb) in zip(a.groups, b.groups):
-            assert np.array_equal(ia, ib)
-            assert np.array_equal(ra, rb)
+        assert np.array_equal(a.rot_idx, b.rot_idx)
+        assert np.array_equal(a.rot, b.rot)
 
     def test_different_seeds_move_the_optimum(self):
         a = make_function("sphere", 6, 0)
@@ -137,8 +141,9 @@ class TestValues:
         grouped = make_function("elliptic-group", 8, 6)
         identity = BenchFunction("elliptic-group", "elliptic",
                                  grouped.category, 8, grouped.shift,
-                                 groups=[(idx, np.eye(len(idx)))
-                                         for idx, _ in grouped.groups],
+                                 rot_idx=grouped.rot_idx,
+                                 rot=np.broadcast_to(np.eye(grouped.rot.shape[1]),
+                                                     grouped.rot.shape),
                                  seed=6)
         plain = BenchFunction("elliptic", "elliptic", "separable-unimodal", 8,
                               grouped.shift)
@@ -195,21 +200,65 @@ class TestReferenceOracle:
         for x in points:
             assert fn.evaluate(x).hex() == reference_value(fn, x).hex()
 
-    def test_groups_are_views_of_the_rotation_stacks(self):
+    def test_rotation_stacks_are_kept_as_given(self):
         fn = make_function("rastrigin-group", 12, 4)
-        assert len(fn.groups) == 12 // group_size(12)
-        # each pair is a row of one index stack and one matrix stack
-        idx0, rot0 = fn.groups[0]
-        assert idx0.base is not None and rot0.base is not None
-        assert all(idx.base is idx0.base and rot.base is rot0.base
-                   for idx, rot in fn.groups)
-        assert make_function("sphere", 12, 4).groups == []
+        m = group_size(12)
+        assert fn.rot_idx.shape == (12 // m, m)
+        assert fn.rot.shape == (12 // m, m, m)
+        again = BenchFunction(fn.name, fn.base, fn.category, 12, fn.shift,
+                              rot_idx=fn.rot_idx, rot=fn.rot, seed=4)
+        assert again.rot_idx is fn.rot_idx and again.rot is fn.rot
+        sphere = make_function("sphere", 12, 4)
+        assert sphere.rot_idx is None and sphere.rot is None
 
-    def test_unequal_group_sizes_rejected(self):
+    @pytest.mark.parametrize("rot_idx, rot", [
+        (np.array([[0, 1], [2, 3]]), None),
+        (None, np.stack([np.eye(2), np.eye(2)])),
+        (np.array([[0, 1], [2, 3]]), np.stack([np.eye(3), np.eye(3)])),
+        (np.array([[0, 1], [2, 3]]), np.eye(2)),
+        (np.array([0, 1]), np.eye(2)),
+        (np.array([[0, 1], [2, 3]]), np.stack([np.eye(2)] * 3))])
+    def test_mismatched_rotation_stacks_rejected(self, rot_idx, rot):
         with pytest.raises(ValueError):
             BenchFunction("g", "sphere", "partially-separable(2)", 5, np.zeros(5),
-                          groups=[(np.array([0, 1]), np.eye(2)),
-                                  (np.array([2, 3, 4]), np.eye(3))])
+                          rot_idx=rot_idx, rot=rot)
+
+
+GROUPED = ("elliptic-group", "rastrigin-group")
+
+
+def _stacks_equal_the_per_group_draw(dims, seeds):
+    for name in GROUPED:
+        for dim in dims:
+            for seed in seeds:
+                fn = make_function(name, dim, seed)
+                rot_idx, rot = per_group_rotations(name, dim, seed)
+                assert fn.rot_idx.dtype == rot_idx.dtype
+                assert fn.rot_idx.tobytes() == rot_idx.tobytes(), (name, dim, seed)
+                assert fn.rot.tobytes() == rot.tobytes(), (name, dim, seed)
+
+
+class TestRotationOracle:
+    """The stacked QR in `make_function` against one draw and one QR per
+    group, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [8, 10, 100, 1000])
+    def test_stacks_equal_the_per_group_draw(self, dim):
+        _stacks_equal_the_per_group_draw([dim], [0, 7, 2026])
+
+    def test_stacks_equal_the_per_group_draw_on_the_haswell_kernel(self):
+        # OPENBLAS_CORETYPE picks OpenBLAS's kernel for the process it is set
+        # in, so the comparison runs again in one fresh interpreter
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mcdopt.__file__)))
+        path = os.pathsep.join(p for p in (tests, src, os.environ.get("PYTHONPATH")) if p)
+        code = ("from test_benchfns import _stacks_equal_the_per_group_draw as check\n"
+                "check([8, 10, 100, 1000], [0, 2026])\n")
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE="Haswell"),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
 
 
 def _with_coordinate(x, j, t):
@@ -248,7 +297,7 @@ class TestSeparability:
             fn = make_function(name, 8, 1)
             x = fn.optimum_position
             witnesses = []
-            for idx, _ in fn.groups:
+            for idx in fn.rot_idx:
                 pairs = [(int(idx[a]), int(idx[b]))
                          for a in range(len(idx)) for b in range(a + 1, len(idx))]
                 witnesses.append(max(abs(self._interaction(fn, x, i, j))
@@ -259,7 +308,7 @@ class TestSeparability:
     def test_no_coupling_across_groups(self):
         fn = make_function("elliptic-group", 8, 1)
         x = fn.optimum_position
-        members = [set(int(i) for i in idx) for idx, _ in fn.groups]
+        members = [set(int(i) for i in idx) for idx in fn.rot_idx]
         for gi in range(len(members)):
             for gj in range(gi + 1, len(members)):
                 i = min(members[gi])

@@ -23,7 +23,7 @@ class TestBox:
     def test_basic_properties(self):
         box = Box([-100.0, 0.0], [100.0, 50.0])
         assert box.dim == 2
-        assert np.array_equal(box.width, [200.0, 50.0])
+        assert np.array_equal(box.upper - box.lower, [200.0, 50.0])
         assert np.array_equal(box.midpoint(), [0.0, 25.0])
 
     def test_midpoint_uses_half_width_form(self):

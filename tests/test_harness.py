@@ -492,10 +492,11 @@ class TestCli:
         "meta tie_epsilon string", "meta tie_epsilon negative", "meta tie_epsilon bool",
         "missing cell", "duplicate seed", "missing seed", "results not utf-8",
         "results nan", "results inf", "trace nan", "trace inf", "mean overflow",
-        "trace mean overflow", "algorithm path", "unknown function"])
+        "trace mean overflow", "iar overflow", "algorithm path", "unknown function"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
-        two_seeds = ("duplicate seed", "missing seed", "mean overflow", "trace mean overflow")
+        two_seeds = ("duplicate seed", "missing seed", "mean overflow", "trace mean overflow",
+                     "iar overflow")
         if damage in ("missing cell",) + two_seeds:
             config.algorithms = ["mcd", "de"]
             config.functions = ["sphere", "ackley"]
@@ -508,6 +509,10 @@ class TestCli:
         results = out / "results.csv"
         trace = out / "traces" / "de__sphere__seed11.csv"
         meta = out / "meta.json"
+        # a failed report must leave none of the files it derives
+        os.remove(out / "summary.json")
+        for chart in (out / "plots").glob("*.svg"):
+            os.remove(chart)
         if damage == "missing trace":
             os.remove(trace)
         elif damage == "results header":
@@ -544,6 +549,15 @@ class TestCli:
             for fields in lines:
                 if fields[:2] == ["de", "sphere"]:
                     fields[6] = "1.7e308"
+            _write(results, "".join(",".join(fields) + "\n" for fields in lines))
+        elif damage == "iar overflow":
+            # finite, nonzero means whose ratio overflows: not a zero denominator
+            errors = {("mcd", "11"): "1e-10", ("mcd", "12"): "1e-10",
+                      ("de", "11"): "1e308", ("de", "12"): "1e300"}
+            lines = [l.split(",") for l in _read_bytes(results).decode().splitlines()]
+            for fields in lines:
+                if fields[1] == "sphere":
+                    fields[6] = errors[fields[0], fields[3]]
             _write(results, "".join(",".join(fields) + "\n" for fields in lines))
         elif damage == "trace mean overflow":
             for seed in (11, 12):
@@ -584,6 +598,8 @@ class TestCli:
             _write(meta, json.dumps(fields))
         assert cli.main(["report", "--in", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert not list((out / "plots").glob("*.svg"))
 
     def test_crashed_rerun_leaves_a_directory_report_rejects(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

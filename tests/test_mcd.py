@@ -4,30 +4,19 @@ import numpy as np
 import pytest
 
 from mcdopt.core import Box, BudgetedEvaluator, InsufficientBudget, Objective, named_stream
-from mcdopt.mcd import (
-    RestartPlan,
-    draw_permutation,
-    fold,
-    restart_plan,
-    roi_step,
-    run,
-)
+from mcdopt.mcd import fold, restart_plan, roi_step, run
 
 from helpers import fold_1d, sphere_objective, straight_line_descent
 
 
 class TestRestartPlan:
     def test_known_budgets(self):
-        assert restart_plan(10, 10, 1000).r_max == 5
-        assert restart_plan(100, 10, 10000).r_max == 5
-        assert restart_plan(1000, 5, 10000).r_max == 1
-        assert restart_plan(10, 10, 5000).r_max == 25
-
-    def test_planned_and_unspent(self):
-        plan = restart_plan(10, 10, 1050)
-        assert plan == RestartPlan(dim=10, max_iter=10, max_nfe=1050, r_max=5)
-        assert plan.planned_nfe == 1000
-        assert plan.unspent == 50
+        assert restart_plan(10, 10, 1000) == 5
+        assert restart_plan(100, 10, 10000) == 5
+        assert restart_plan(1000, 5, 10000) == 1
+        assert restart_plan(10, 10, 5000) == 25
+        # leftover budget funds no extra restart
+        assert restart_plan(10, 10, 1199) == 5
 
     def test_insufficient_budget(self):
         with pytest.raises(InsufficientBudget):
@@ -69,7 +58,7 @@ class TestInitCenter:
     def test_first_probe_of_every_restart_is_at_the_center(self):
         obj = sphere_objective(4, shift=np.array([10.0, -20.0, 30.0, -40.0]))
         outcome = run(obj, max_iter=1, max_nfe=24, seed=2, record_steps=True)
-        assert outcome.plan.r_max == 3
+        assert outcome.restarts == 3
         assert outcome.used_nfe == 2 * len(outcome.steps)
         for r in range(3):
             first = [s for s in outcome.steps if s.restart == r][0]
@@ -88,25 +77,18 @@ class TestInitCenter:
         assert outcome.steps[0].y_position.tolist() == [50.0, 50.0]
 
 
-class TestDrawPermutation:
-    def test_single_dimension(self):
-        rng = named_stream(0, "perm")
-        assert draw_permutation(1, rng).tolist() == [0]
+class TestRestartOrderings:
+    """Each restart takes its dimension ordering from the "perm" stream."""
 
-    def test_validity(self):
+    @pytest.mark.parametrize("dim", [1, 2, 7, 33])
+    def test_orderings_come_from_the_perm_stream(self, dim):
+        outcome = run(sphere_objective(dim), max_iter=1, max_nfe=6 * dim, seed=3,
+                      record_steps=True)
         rng = named_stream(3, "perm")
-        for dim in (2, 4, 7, 33):
-            perm = draw_permutation(dim, rng)
-            assert sorted(perm.tolist()) == list(range(dim))
-
-    def test_determinism(self):
-        a = draw_permutation(5, named_stream(9, "perm"))
-        b = draw_permutation(5, named_stream(9, "perm"))
-        assert np.array_equal(a, b)
-
-    def test_rejects_zero_dim(self):
-        with pytest.raises(ValueError):
-            draw_permutation(0, named_stream(0, "perm"))
+        for r in range(3):
+            order = [s.dim_index for s in outcome.steps if s.restart == r]
+            assert order == rng.permutation(dim).tolist()
+            assert sorted(order) == list(range(dim))
 
 
 class TestRoiStep:
@@ -210,9 +192,9 @@ class TestFold:
         for i in (0, 1):
             for keep_lower in (True, False):
                 box = Box([-3.0, 7.0], [5.0, 9.0])
-                before = box.width
+                before = box.upper - box.lower
                 fold(box, i, keep_lower)
-                assert box.width[i] == before[i] / 2.0
+                assert (box.upper - box.lower)[i] == before[i] / 2.0
 
     def test_resolution_floor_stops_folding(self):
         # midpoint of [1, 1 + 2^-52] rounds back onto the lower bound
@@ -261,9 +243,8 @@ class TestRun:
     def test_evaluation_exactness_with_leftover(self):
         obj = sphere_objective(10)
         outcome = run(obj, max_iter=10, max_nfe=1050, seed=3)
-        assert outcome.plan.r_max == 5
+        assert outcome.restarts == 5
         assert outcome.used_nfe == 1000
-        assert outcome.plan.unspent == 50
 
     def test_permutation_invariance_on_separable_sphere(self):
         # one restart, three halving passes per dimension
@@ -318,7 +299,7 @@ class TestRun:
         obj = sphere_objective(2)
         outcome = run(obj, max_iter=2, max_nfe=24, seed=5, record_steps=True,
                       permutations=[[0, 1], [0, 1], [1, 0]])
-        assert outcome.plan.r_max == 3
+        assert outcome.restarts == 3
         first = [s for s in outcome.steps if s.restart == 0]
         second = [s for s in outcome.steps if s.restart == 1]
         assert len(first) == len(second) == 4
