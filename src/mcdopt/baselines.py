@@ -70,14 +70,13 @@ class CCConfig:
     num_groups: int = 10
 
     def __post_init__(self):
-        if self.pop_size < 4:
-            raise ValueError("the inner DE needs a population of at least 4")
-        if not math.isfinite(self.f):
-            raise ValueError("f must be finite")
-        if not 0.0 <= self.cr <= 1.0:
-            raise ValueError("cr must lie in [0, 1]")
+        self.inner_de()  # population, crossover and scale factor follow DE's rules
         if self.num_groups < 1:
             raise ValueError("num_groups must be at least 1")
+
+    def inner_de(self) -> DEConfig:
+        """The settings of each group's DE generation: one fixed scale factor."""
+        return DEConfig(pop_size=self.pop_size, cr=self.cr, f_range=(self.f, self.f))
 
 
 @dataclass(eq=False)
@@ -402,7 +401,7 @@ def cc_cycle(state: CCState, cfg: CCConfig, ev: BudgetedEvaluator,
     groups = delta_grouping(np.abs(ev.best.position - state.anchor), cfg.num_groups)
     state.anchor = ev.best.position.copy()
     state.last_groups = groups
-    inner = DEConfig(pop_size=cfg.pop_size, cr=cfg.cr, f_range=(cfg.f, cfg.f))
+    inner = cfg.inner_de()
     for group in groups:
         if not _generation_on(state.population, group, ev.best.position,
                               inner, ev, rng):

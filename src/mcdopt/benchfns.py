@@ -45,6 +45,7 @@ _SPECS = {
 }
 
 SUITE_NAMES = tuple(_SPECS)
+BASES = frozenset(base for base, _, _ in _SPECS.values())
 
 # bases whose value is a plain per-coordinate sum; the exponential coupling in
 # the ackley base makes it separable only in the weaker argument-wise sense
@@ -85,6 +86,8 @@ class BenchFunction:
                  shift, rot_idx=None, rot=None, seed: int = 0):
         if dim < 1:
             raise ValueError("dim must be at least 1")
+        if base not in BASES:
+            raise ValueError(f"unknown base formula '{base}'")
         shift = np.array(shift, dtype=float, copy=True)
         if shift.shape != (dim,):
             raise ValueError("shift must be a vector of length dim")
@@ -144,10 +147,8 @@ class BenchFunction:
             w = z + 1.0  # optimum of the base sits at all-ones, folded into the shift
             return float(np.add.reduce(100.0 * (w[1:] - w[:-1] ** 2) ** 2
                                        + (1.0 - w[:-1]) ** 2))
-        if self.base == "schwefel12":
-            partial = z.cumsum()
-            return float(partial @ partial)
-        raise ValueError(f"unknown base formula '{self.base}'")
+        partial = z.cumsum()  # schwefel12: __init__ admits no other base
+        return float(partial @ partial)
 
     def __repr__(self) -> str:
         return f"BenchFunction({self.name!r}, dim={self.dim}, seed={self.seed})"

@@ -28,16 +28,17 @@ import io
 import json
 import math
 import os
+import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional, get_type_hints
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import mcd
 from .baselines import CCConfig, DEConfig, run_cc, run_de
 from .benchfns import SUITE_NAMES, make_suite
-from .core import OptimizationError
+from .core import InsufficientBudget, OptimizationError
 from .svgplot import convergence_svg
 
 ALGORITHMS = ("mcd", "de", "cc")
@@ -149,8 +150,8 @@ _PARSERS = {
 
 # the config schema is ExperimentConfig itself: one parser per field type,
 # and the fields without a default are the required keys
-_FIELD_PARSERS = {name: _PARSERS[kind]
-                  for name, kind in get_type_hints(ExperimentConfig).items()}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+_FIELD_PARSERS = {name: _PARSERS[kind] for name, kind in _FIELD_TYPES.items()}
 _REQUIRED_KEYS = [f.name for f in fields(ExperimentConfig)
                   if f.default is MISSING and f.default_factory is MISSING]
 
@@ -210,28 +211,24 @@ def validate_config(config: ExperimentConfig) -> None:
             raise ConfigError(f"unknown algorithm '{algorithm}'")
     if len(set(config.algorithms)) != len(config.algorithms):
         raise ConfigError("duplicate algorithm")
-    if config.dim < 2:
-        raise ConfigError("dim must be at least 2")
-    if config.repeats < 1:
-        raise ConfigError("repeats must be at least 1")
-    if config.max_nfe < 1:
-        raise ConfigError("max_nfe must be at least 1")
-    if config.max_iter < 1:
-        raise ConfigError("max_iter must be at least 1")
+    for key, least in (("dim", 2), ("repeats", 1), ("max_nfe", 1), ("max_iter", 1)):
+        if getattr(config, key) < least:
+            raise ConfigError(f"{key} must be at least {least}")
     names = config.functions
+    if not names:
+        raise ConfigError("at least one function is required")
     if names != ["all"]:
         for name in names:
             if name not in SUITE_NAMES:
                 raise ConfigError(f"unknown function '{name}'")
         if len(set(names)) != len(names):
             raise ConfigError("duplicate function")
-    if any(g < 1 for g in config.trace_grid):
-        raise ConfigError("trace_grid checkpoints must be positive")
-    if config.trace_grid != sorted(config.trace_grid):
-        raise ConfigError("trace_grid checkpoints must be ascending")
-    if any(g > config.max_nfe for g in config.trace_grid):
-        raise ConfigError("trace_grid checkpoints must not exceed max_nfe")
-    if not math.isfinite(config.tie_epsilon) or config.tie_epsilon < 0.0:
+    grid = config.trace_grid
+    if grid and not (1 <= grid[0] and grid == sorted(grid) and grid[-1] <= config.max_nfe):
+        raise ConfigError("trace_grid checkpoints must be positive, ascending and "
+                          "at most max_nfe")
+    # compared, not converted: a JSON integer may be too large for a float
+    if not 0.0 <= config.tie_epsilon <= sys.float_info.max:
         raise ConfigError("tie_epsilon must be a finite number of at least 0")
     # the baseline settings follow the rules of the configs they build
     try:
@@ -254,6 +251,14 @@ def resolve_trace_grid(config: ExperimentConfig) -> list[int]:
         return list(config.trace_grid)
     step = max(1, config.max_nfe // 100)
     return list(range(step, config.max_nfe + 1, step))
+
+
+def grid_cells(config: ExperimentConfig) -> list[tuple[str, str, int]]:
+    """The (algorithm, function, seed) cells of a grid in run order, which is sorted."""
+    return [(algorithm, name, config.base_seed + repeat)
+            for algorithm in sorted(config.algorithms)
+            for name in resolve_functions(config)
+            for repeat in range(config.repeats)]
 
 
 def run_single(algorithm: str, fn, seed: int, config: ExperimentConfig):
@@ -315,6 +320,12 @@ def _csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
+# the config fields meta.json records, as the grid resolved them;
+# report_from_dir reads them back into an ExperimentConfig
+_META_FIELDS = ("algorithms", "functions", "dim", "max_nfe", "max_iter", "repeats",
+                "base_seed", "suite_seed", "trace_grid", "tie_epsilon")
+
+
 def run_grid(config: ExperimentConfig) -> ExperimentReport:
     """Execute the whole grid and write every output file.
 
@@ -325,7 +336,9 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
     left alone. results.csv is written last.
     """
     validate_config(config)
-    functions = resolve_functions(config)
+    config = replace(config, algorithms=sorted(config.algorithms),
+                     functions=resolve_functions(config),
+                     trace_grid=resolve_trace_grid(config))
     suite = {fn.name: fn for fn in make_suite(config.dim, config.suite_seed)}
     out_dir = config.output_dir
     traces_dir = os.path.join(out_dir, "traces")
@@ -340,37 +353,23 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
             os.remove(path)
 
     rows = []
-    for algorithm in sorted(config.algorithms):
-        for name in functions:
-            for repeat in range(config.repeats):
-                seed = config.base_seed + repeat
-                err, used, trace, wall = run_single(algorithm, suite[name], seed, config)
-                wall_ms = str(int(round(wall * 1000.0))) if config.record_timing else ""
-                rows.append((algorithm, name, config.dim, seed, config.max_nfe, used,
-                             repr(err), wall_ms))
-                _write_text(os.path.join(traces_dir, _trace_filename(algorithm, name, seed)),
-                            _csv_text(("nfe", "best_value"),
-                                      [(nfe, repr(value)) for nfe, value in trace]))
+    for algorithm, name, seed in grid_cells(config):
+        err, used, trace, wall = run_single(algorithm, suite[name], seed, config)
+        wall_ms = str(int(round(wall * 1000.0))) if config.record_timing else ""
+        rows.append((algorithm, name, config.dim, seed, config.max_nfe, used,
+                     repr(err), wall_ms))
+        _write_text(os.path.join(traces_dir, _trace_filename(algorithm, name, seed)),
+                    _csv_text(("nfe", "best_value"),
+                              [(nfe, repr(value)) for nfe, value in trace]))
 
-    meta = {
-        "algorithms": sorted(config.algorithms),
-        "functions": functions,
-        "dim": config.dim,
-        "max_nfe": config.max_nfe,
-        "max_iter": config.max_iter,
-        "repeats": config.repeats,
-        "base_seed": config.base_seed,
-        "suite_seed": config.suite_seed,
-        "trace_grid": resolve_trace_grid(config),
-        "tie_epsilon": config.tie_epsilon,
-    }
+    meta = {key: getattr(config, key) for key in _META_FIELDS}
     _write_text(os.path.join(out_dir, "meta.json"),
                 json.dumps(meta, indent=2, sort_keys=True) + "\n")
     _write_text(os.path.join(out_dir, "results.csv"), _csv_text(RESULT_COLUMNS, rows))
     return report_from_dir(out_dir)
 
 
-def _read_results(out_dir: str) -> list[dict]:
+def _read_results(out_dir: str, config: ExperimentConfig) -> list[dict]:
     path = os.path.join(out_dir, "results.csv")
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -387,7 +386,7 @@ def _read_results(out_dir: str) -> list[dict]:
     rows = []
     for line, raw in enumerate(raw_rows, start=2):
         try:
-            rows.append({
+            row = {
                 "algorithm": raw["algorithm"],
                 "function": raw["function"],
                 "dim": int(raw["dim"]),
@@ -396,15 +395,15 @@ def _read_results(out_dir: str) -> list[dict]:
                 "used_nfe": int(raw["used_nfe"]),
                 "final_error": float(raw["final_error"]),
                 "wall_ms": raw["wall_ms"],
-            })
+            }
         except (TypeError, ValueError):
             # a short row leaves None in its missing fields
             raise ConfigError(f"{path}, line {line}: cannot parse row") from None
-        if not math.isfinite(rows[-1]["final_error"]):
-            raise ConfigError(f"{path}, line {line}: final_error is not finite")
-        # the names become trace and chart paths, so only those run writes pass
-        if raw["algorithm"] not in ALGORITHMS or raw["function"] not in SUITE_NAMES:
-            raise ConfigError(f"{path}, line {line}: unknown algorithm or function")
+        if not (math.isfinite(row["final_error"]) and 1 <= row["used_nfe"] <= row["max_nfe"]
+                and (row["dim"], row["max_nfe"]) == (config.dim, config.max_nfe)):
+            raise ConfigError(f"{path}, line {line}: a row needs a finite final_error, "
+                              "the dim and max_nfe of meta.json and used_nfe in 1..max_nfe")
+        rows.append(row)
     return rows
 
 
@@ -425,59 +424,59 @@ def _read_trace(out_dir: str, algorithm: str, function: str, seed: int):
     return rows
 
 
-# meta.json keys that report_from_dir reads without a default
-_META_KEYS = ("dim", "max_nfe", "repeats", "trace_grid")
+def _json_is(value, kind) -> bool:
+    """Whether a JSON value has the config field type `kind`. type() rather
+    than isinstance(): a JSON true is a bool, not a count."""
+    if get_origin(kind) is list:
+        return type(value) is list and all(_json_is(v, get_args(kind)[0]) for v in value)
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _read_meta(out_dir: str) -> ExperimentConfig:
+    """The config a grid recorded in meta.json, held to the rules of `run`."""
+    path = os.path.join(out_dir, "meta.json")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
+        raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
+    # directories written before tie_epsilon was recorded lack it
+    meta.setdefault("tie_epsilon", ExperimentConfig.tie_epsilon)
+    wrong = [key for key in _META_FIELDS if not _json_is(meta.get(key), _FIELD_TYPES[key])]
+    if wrong:
+        raise ConfigError(f"{path}: missing or mistyped keys {', '.join(wrong)}")
+    config = ExperimentConfig(**{key: meta[key] for key in _META_FIELDS})
+    try:
+        validate_config(config)
+    except InsufficientBudget as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return config
 
 
 @np.errstate(over="ignore")  # an overflowing mean is a ConfigError, not a warning
 def report_from_dir(out_dir: str) -> ExperimentReport:
     """Build summary.json and the per-function charts from the files in
-    `out_dir`, returning the aggregate report. Every input is read and
-    checked before the first file is written."""
-    meta_path = os.path.join(out_dir, "meta.json")
-    try:
-        with open(meta_path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {meta_path}: {exc}") from None
-    except ValueError as exc:
-        # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
-        raise ConfigError(f"{meta_path}: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ConfigError(f"{meta_path}: expected a JSON object")
-    missing = [key for key in _META_KEYS if key not in meta]
-    if missing:
-        raise ConfigError(f"{meta_path}: missing keys {', '.join(missing)}")
-    grid = meta["trace_grid"]
-    repeats = meta["repeats"]
-    counts = [meta["dim"], meta["max_nfe"], repeats]
-    # type() rather than isinstance(): a JSON true is a bool, not a count
-    if not isinstance(grid, list) or not all(type(v) is int for v in counts + grid):
-        raise ConfigError(f"{meta_path}: dim, max_nfe and repeats must be integers "
-                          "and trace_grid a list of integers")
-    tie_epsilon = meta.get("tie_epsilon", 0.0)
-    if (type(tie_epsilon) not in (int, float) or not math.isfinite(tie_epsilon)
-            or tie_epsilon < 0.0):
-        raise ConfigError(f"{meta_path}: tie_epsilon must be a finite number of at least 0")
-
-    rows = _read_results(out_dir)
+    `out_dir`, returning the aggregate report. Every input is read and checked
+    against the config in meta.json before the first file is written."""
+    config = _read_meta(out_dir)
+    rows = _read_results(out_dir, config)
+    # each cell of the grid once, in any order; no name from results.csv
+    # reaches a trace or chart path before this check
+    cells = sorted((row["algorithm"], row["function"], row["seed"]) for row in rows)
+    if cells != grid_cells(config):
+        raise ConfigError(f"{out_dir}: results.csv must hold one row for each "
+                          "(algorithm, function, seed) of the grid in meta.json")
     buckets: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         buckets.setdefault((row["algorithm"], row["function"]), []).append(row)
-    algorithms = sorted({algorithm for algorithm, _ in buckets})
-    functions = sorted({name for _, name in buckets})
-    # every cell must hold `repeats` distinct seeds, or the means, tallies and
-    # charts below would compare unequal samples
-    seeds: dict[tuple[str, str], list[int]] = {}
-    for algorithm in algorithms:
-        for name in functions:
-            cell = buckets.get((algorithm, name), [])
-            seeds[algorithm, name] = sorted({row["seed"] for row in cell})
-            if len(cell) != repeats or len(seeds[algorithm, name]) != repeats:
-                raise ConfigError(
-                    f"{out_dir}: results.csv has {len(cell)} rows with seeds "
-                    f"{seeds[algorithm, name]} for {algorithm} on {name}, "
-                    f"expected {repeats} distinct seeds")
+    algorithms = sorted(config.algorithms)
+    functions = resolve_functions(config)
+    grid = resolve_trace_grid(config)
 
     # mean final error per cell, repeats in file order
     mean_errors = {key: float(np.mean([row["final_error"] for row in cell]))
@@ -507,15 +506,15 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     for baseline in baselines:
         wins, ties, losses = tally_wtl([mean_errors["mcd", name] for name in functions],
                                        [mean_errors[baseline, name] for name in functions],
-                                       tie_epsilon)
+                                       config.tie_epsilon)
         wtl[baseline] = {"wins": wins, "ties": ties, "losses": losses}
 
     summary = {
         "algorithms": algorithms,
         "functions": functions,
-        "dim": meta["dim"],
-        "max_nfe": meta["max_nfe"],
-        "repeats": repeats,
+        "dim": config.dim,
+        "max_nfe": config.max_nfe,
+        "repeats": config.repeats,
         "runs": len(rows),
         "aggregate": aggregate,
         "wtl": wtl,
@@ -528,7 +527,7 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
         series = []
         for algorithm in algorithms:
             dense = [densify_trace(_read_trace(out_dir, algorithm, name, seed), grid)
-                     for seed in seeds[algorithm, name]]
+                     for seed in sorted(row["seed"] for row in buckets[algorithm, name])]
             points = []
             for index, checkpoint in enumerate(grid):
                 values = [d[index] for d in dense if d[index] is not None]
@@ -538,7 +537,7 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
                 raise ConfigError(f"{out_dir}: the mean trace of {algorithm} on "
                                   f"{name} is not finite")
             series.append((algorithm, ALGORITHM_COLORS[algorithm], points))
-        charts[name] = convergence_svg(f"{name} (dim {meta['dim']})", series)
+        charts[name] = convergence_svg(f"{name} (dim {config.dim})", series)
 
     summary_path = os.path.join(out_dir, "summary.json")
     _write_text(summary_path, summary_text)

@@ -66,6 +66,10 @@ class TestConfigs:
         cfg = CCConfig()
         assert (cfg.pop_size, cfg.f, cfg.cr, cfg.num_groups) == (50, 0.5, 0.9, 10)
 
+    def test_cc_cycles_run_the_de_config_it_checks(self):
+        cfg = CCConfig(pop_size=6, f=0.3, cr=0.7)
+        assert cfg.inner_de() == DEConfig(pop_size=6, cr=0.7, f_range=(0.3, 0.3))
+
     def test_cc_validation(self):
         with pytest.raises(ValueError):
             CCConfig(pop_size=2)

@@ -87,6 +87,10 @@ class TestSuiteStructure:
         with pytest.raises(ValueError):
             make_function("rosenbrok", 4, 0)
 
+    def test_unknown_base_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown base formula 'nope'"):
+            BenchFunction("x", "nope", "separable-unimodal", 4, np.zeros(4))
+
     def test_suite_needs_two_dims(self):
         with pytest.raises(ValueError):
             make_suite(1, 0)

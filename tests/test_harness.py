@@ -19,6 +19,7 @@ from mcdopt.harness import (
     RESULT_COLUMNS,
     compute_iar,
     densify_trace,
+    grid_cells,
     parse_config_text,
     report_from_dir,
     resolve_functions,
@@ -160,6 +161,10 @@ class TestConfigParsing:
             parse_config_text(
                 "algorithms = de\ndim = 4\nmax_nfe = 99\nfunctions = spere\n")
 
+    def test_empty_function_list(self):
+        with pytest.raises(ConfigError):
+            parse_config_text("algorithms = de\ndim = 4\nmax_nfe = 99\nfunctions = ,\n")
+
     def test_tiny_dim(self):
         with pytest.raises(ConfigError):
             parse_config_text("algorithms = de\ndim = 1\nmax_nfe = 99\n")
@@ -196,6 +201,14 @@ class TestConfigParsing:
 
 
 class TestResolvers:
+    def test_grid_cells_in_run_order(self):
+        config = ExperimentConfig(algorithms=["mcd", "de"], dim=4, max_nfe=100,
+                                  functions=["sphere", "ackley"], repeats=2, base_seed=7)
+        assert grid_cells(config) == [
+            ("de", "ackley", 7), ("de", "ackley", 8), ("de", "sphere", 7), ("de", "sphere", 8),
+            ("mcd", "ackley", 7), ("mcd", "ackley", 8), ("mcd", "sphere", 7),
+            ("mcd", "sphere", 8)]
+
     def test_all_functions_sorted(self):
         config = ExperimentConfig(algorithms=["de"], dim=4, max_nfe=100)
         names = resolve_functions(config)
@@ -328,6 +341,26 @@ class TestRunGrid:
         assert "polyline" in svg
         assert svg.endswith("\n")
         assert not list(out.rglob("*.tmp"))
+
+    def test_meta_records_the_resolved_config(self, tmp_path):
+        config = _mini_config(tmp_path / "out")
+        config.algorithms = ["mcd", "de"]
+        config.trace_grid = [60, 120]
+        run_grid(config)
+        meta = {"algorithms": ["de", "mcd"], "functions": ["rastrigin", "sphere"], "dim": 4,
+                "max_nfe": 120, "max_iter": 3, "repeats": 2, "base_seed": 11,
+                "suite_seed": 5, "trace_grid": [60, 120], "tie_epsilon": 0.0}
+        assert _read_bytes(tmp_path / "out" / "meta.json").decode() == \
+            json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+    def test_report_accepts_rows_in_any_order(self, tmp_path):
+        out = tmp_path / "out"
+        run_grid(_mini_config(out))
+        before = _collect_outputs(out)
+        header, *rows = _read_bytes(out / "results.csv").decode().splitlines(keepends=True)
+        _write(out / "results.csv", header + "".join(reversed(rows)))
+        report_from_dir(str(out))
+        assert _collect_outputs(out)["summary.json"] == before["summary.json"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         run_grid(_mini_config(tmp_path / "one"))
@@ -492,12 +525,16 @@ class TestCli:
         "meta tie_epsilon string", "meta tie_epsilon negative", "meta tie_epsilon bool",
         "missing cell", "duplicate seed", "missing seed", "results not utf-8",
         "results nan", "results inf", "trace nan", "trace inf", "mean overflow",
-        "trace mean overflow", "iar overflow", "algorithm path", "unknown function"])
+        "trace mean overflow", "iar overflow", "algorithm path", "unknown function",
+        "missing function", "missing algorithm", "row dim", "row max_nfe", "row used_nfe",
+        "meta grid descending", "meta grid beyond budget", "meta dim zero",
+        "meta unknown algorithm", "meta budget", "meta tie_epsilon huge"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
         two_seeds = ("duplicate seed", "missing seed", "mean overflow", "trace mean overflow",
                      "iar overflow")
-        if damage in ("missing cell",) + two_seeds:
+        if damage in ("missing cell", "missing function", "missing algorithm",
+                      "meta budget") + two_seeds:
             config.algorithms = ["mcd", "de"]
             config.functions = ["sphere", "ackley"]
         else:
@@ -532,6 +569,18 @@ class TestCli:
             _write(meta, "{oops")
         elif damage == "meta not object":
             _write(meta, "null")
+        elif damage in ("missing function", "missing algorithm"):
+            prefix = {"missing function": ("mcd,ackley,", "de,ackley,"),
+                      "missing algorithm": ("mcd,",)}[damage]
+            lines = _read_bytes(results).decode().splitlines(keepends=True)
+            _write(results, "".join(l for l in lines if not l.startswith(prefix)))
+        elif damage in ("row dim", "row max_nfe", "row used_nfe"):
+            column, value = {"row dim": (2, "5"), "row max_nfe": (4, "121"),
+                             "row used_nfe": (5, "1000000")}[damage]
+            lines = _read_bytes(results).decode().splitlines()
+            fields = lines[1].split(",")
+            fields[column] = value
+            _write(results, "\n".join([lines[0], ",".join(fields)]) + "\n")
         elif damage == "missing cell":
             lines = _read_bytes(results).decode().splitlines(keepends=True)
             _write(results, "".join(l for l in lines if not l.startswith("mcd,ackley,")))
@@ -593,6 +642,19 @@ class TestCli:
                 fields["tie_epsilon"] = -1
             elif damage == "meta tie_epsilon bool":
                 fields["tie_epsilon"] = True
+            elif damage == "meta tie_epsilon huge":
+                fields["tie_epsilon"] = 10 ** 400  # an integer no float can hold
+            elif damage == "meta grid descending":
+                fields["trace_grid"] = fields["trace_grid"][::-1]
+            elif damage == "meta grid beyond budget":
+                fields["trace_grid"].append(121)
+            elif damage == "meta dim zero":
+                fields["dim"] = 0
+            elif damage == "meta unknown algorithm":
+                fields["algorithms"] = ["de", "pso"]
+            elif damage == "meta budget":
+                # too small for one mcd restart: a budget error, but exit 2 here
+                fields["max_iter"] = 100
             else:
                 fields["repeats"] = True
             _write(meta, json.dumps(fields))
