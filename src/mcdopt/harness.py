@@ -45,8 +45,10 @@ ALGORITHMS = ("mcd", "de", "cc")
 
 ALGORITHM_COLORS = {"mcd": "#c0392b", "de": "#2471a3", "cc": "#1e8449"}
 
-RESULT_COLUMNS = ("algorithm", "function", "dim", "seed", "max_nfe",
-                  "used_nfe", "final_error", "wall_ms")
+# the results.csv columns in order, each with the type report_from_dir reads
+_RESULT_TYPES = {"algorithm": str, "function": str, "dim": int, "seed": int,
+                 "max_nfe": int, "used_nfe": int, "final_error": float, "wall_ms": str}
+RESULT_COLUMNS = tuple(_RESULT_TYPES)
 
 
 class ConfigError(OptimizationError):
@@ -190,15 +192,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return config
 
 
-def load_config(path: str) -> ExperimentConfig:
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, line endings untranslated (as the csv module
+    expects); a file that cannot be read or decoded is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return parse_config_text(text)
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return parse_config_text(_read_text(path))
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -371,57 +378,54 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
 
 def _read_results(out_dir: str, config: ExperimentConfig) -> list[dict]:
     path = os.path.join(out_dir, "results.csv")
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            raw_rows = list(reader)
-            header = reader.fieldnames or []
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except (csv.Error, UnicodeDecodeError) as exc:
+        raw_rows = list(reader)
+    except csv.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    missing = [column for column in RESULT_COLUMNS if column not in header]
+    missing = [column for column in RESULT_COLUMNS if column not in (reader.fieldnames or [])]
     if missing:
         raise ConfigError(f"{path}: missing columns {', '.join(missing)}")
     rows = []
     for line, raw in enumerate(raw_rows, start=2):
         try:
-            row = {
-                "algorithm": raw["algorithm"],
-                "function": raw["function"],
-                "dim": int(raw["dim"]),
-                "seed": int(raw["seed"]),
-                "max_nfe": int(raw["max_nfe"]),
-                "used_nfe": int(raw["used_nfe"]),
-                "final_error": float(raw["final_error"]),
-                "wall_ms": raw["wall_ms"],
-            }
-        except (TypeError, ValueError):
             # a short row leaves None in its missing fields
+            if None in raw.values():
+                raise ValueError
+            row = {column: kind(raw[column]) for column, kind in _RESULT_TYPES.items()}
+        except ValueError:
             raise ConfigError(f"{path}, line {line}: cannot parse row") from None
-        if not (math.isfinite(row["final_error"]) and 1 <= row["used_nfe"] <= row["max_nfe"]
+        # every suite optimum is 0 and every suite value at least 0
+        if not (0.0 <= row["final_error"] < math.inf and 1 <= row["used_nfe"] <= row["max_nfe"]
                 and (row["dim"], row["max_nfe"]) == (config.dim, config.max_nfe)):
-            raise ConfigError(f"{path}, line {line}: a row needs a finite final_error, "
+            raise ConfigError(f"{path}, line {line}: a row needs a final_error in [0, inf), "
                               "the dim and max_nfe of meta.json and used_nfe in 1..max_nfe")
         rows.append(row)
     return rows
 
 
-def _read_trace(out_dir: str, algorithm: str, function: str, seed: int):
-    path = os.path.join(out_dir, "traces", _trace_filename(algorithm, function, seed))
+def _read_trace(out_dir: str, row: dict) -> list[tuple[int, float]]:
+    """The improvement trace of one results row, held to the evaluator's trace
+    contract: counts from 1 strictly rising to at most the row's used_nfe, and
+    finite values strictly falling to the row's final_error (every suite
+    optimum is 0)."""
+    path = os.path.join(out_dir, "traces",
+                        _trace_filename(row["algorithm"], row["function"], row["seed"]))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            if next(reader, None) != ["nfe", "best_value"]:
-                raise ConfigError(f"{path}: expected the header nfe,best_value")
-            rows = [(int(nfe), float(value)) for nfe, value in reader]
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        if next(reader, None) != ["nfe", "best_value"]:
+            raise ConfigError(f"{path}: expected the header nfe,best_value")
+        trace = [(int(nfe), float(value)) for nfe, value in reader]
     except (ValueError, csv.Error):
         raise ConfigError(f"{path}: cannot parse trace rows") from None
-    if not all(math.isfinite(value) for _, value in rows):
+    if not all(math.isfinite(value) for _, value in trace):
         raise ConfigError(f"{path}: trace values must be finite")
-    return rows
+    if not (trace and trace[0][0] == 1 and trace[-1][0] <= row["used_nfe"]
+            and trace[-1][1] == row["final_error"]
+            and all(n < m and v > w for (n, v), (m, w) in zip(trace, trace[1:]))):
+        raise ConfigError(f"{path}: a trace must rise in nfe from 1 to at most used_nfe "
+                          "and fall in value to final_error")
+    return trace
 
 
 def _json_is(value, kind) -> bool:
@@ -436,12 +440,8 @@ def _read_meta(out_dir: str) -> ExperimentConfig:
     """The config a grid recorded in meta.json, held to the rules of `run`."""
     path = os.path.join(out_dir, "meta.json")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        meta = json.loads(_read_text(path))
     except ValueError as exc:
-        # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: expected a JSON object")
@@ -526,13 +526,12 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     for name in functions:
         series = []
         for algorithm in algorithms:
-            dense = [densify_trace(_read_trace(out_dir, algorithm, name, seed), grid)
-                     for seed in sorted(row["seed"] for row in buckets[algorithm, name])]
-            points = []
-            for index, checkpoint in enumerate(grid):
-                values = [d[index] for d in dense if d[index] is not None]
-                if values:
-                    points.append((float(checkpoint), float(np.mean(values))))
+            # every trace starts at nfe 1 and every checkpoint is at least 1,
+            # so each dense trace has a value at every checkpoint
+            dense = [densify_trace(_read_trace(out_dir, row), grid)
+                     for row in sorted(buckets[algorithm, name], key=lambda row: row["seed"])]
+            points = [(float(checkpoint), float(np.mean(column)))
+                      for checkpoint, column in zip(grid, zip(*dense))]
             if not all(math.isfinite(value) for _, value in points):
                 raise ConfigError(f"{out_dir}: the mean trace of {algorithm} on "
                                   f"{name} is not finite")

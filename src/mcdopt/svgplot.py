@@ -26,9 +26,10 @@ def _fmt(v: float) -> str:
 def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, float]]]]) -> str:
     """Render one chart as SVG text.
 
-    `series` is a list of (label, color, points) with points given as
-    (evaluation count, value) pairs. The value axis ("best value") is
-    log10-scaled, the evaluation axis ("evaluations") is linear.
+    `series` is a non-empty list of (label, color, points) with points given
+    as (evaluation count, value) pairs, at least one per series. The value
+    axis ("best value") is log10-scaled, the evaluation axis ("evaluations")
+    is linear.
     """
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -41,11 +42,6 @@ def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, f
         f'<text x="{WIDTH // 2}" y="24" font-family="sans-serif" font-size="15" '
         f'text-anchor="middle">{title}</text>',
     ]
-    if not all_points:
-        parts.append(f'<text x="{WIDTH // 2}" y="{HEIGHT // 2}" font-family="sans-serif" '
-                     f'font-size="13" text-anchor="middle">no data</text>')
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
 
     x_max = max(1.0, max(p[0] for p in all_points))
     logs = [math.log10(max(p[1], _VALUE_FLOOR)) for p in all_points]
@@ -95,8 +91,6 @@ def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, f
 
     # curves
     for label, color, points in series:
-        if not points:
-            continue
         coords = " ".join(f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in points)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')

@@ -488,8 +488,10 @@ class TestCli:
         path = _write(tmp_path / "bad.cfg", "algorithms = de\nmystery = 1\n")
         assert cli.main(["run", "--config", path]) == 2
 
-    def test_missing_config_file_exit_code(self, tmp_path):
-        assert cli.main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.cfg")
+        assert cli.main(["run", "--config", path]) == 2
+        assert f"config error: cannot read {path}: " in capsys.readouterr().err
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
@@ -528,7 +530,10 @@ class TestCli:
         "trace mean overflow", "iar overflow", "algorithm path", "unknown function",
         "missing function", "missing algorithm", "row dim", "row max_nfe", "row used_nfe",
         "meta grid descending", "meta grid beyond budget", "meta dim zero",
-        "meta unknown algorithm", "meta budget", "meta tie_epsilon huge"])
+        "meta unknown algorithm", "meta budget", "meta tie_epsilon huge",
+        "trace beyond budget", "trace header only", "trace first nfe", "trace value rises",
+        "trace nfe repeats", "trace last value", "trace last dropped", "results negative",
+        "results short row"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
         two_seeds = ("duplicate seed", "missing seed", "mean overflow", "trace mean overflow",
@@ -623,6 +628,37 @@ class TestCli:
         elif damage == "unknown function":
             os.rename(trace, out / "traces" / "de__nosuch__seed11.csv")
             _write(results, _read_bytes(results).decode().replace(",sphere,", ",nosuch,"))
+        elif damage in ("trace beyond budget", "trace header only", "trace first nfe",
+                        "trace value rises", "trace nfe repeats", "trace last value",
+                        "trace last dropped"):
+            # each breaks one rule of the evaluator's trace contract
+            header, *rows = [l.split(",") for l in _read_bytes(trace).decode().splitlines()]
+            if damage == "trace beyond budget":
+                rows.append(["500", "0.5"])
+            elif damage == "trace header only":
+                rows = []
+            elif damage == "trace first nfe":
+                rows[0][0] = "2"
+            elif damage == "trace value rises":
+                rows[0][1] = "0.0"
+            elif damage == "trace nfe repeats":
+                rows[1][0] = rows[0][0]
+            elif damage == "trace last value":
+                rows[-1][1] = repr(float(rows[-1][1]) / 2)
+            else:
+                rows.pop()
+            _write(trace, "".join(",".join(fields) + "\n" for fields in [header] + rows))
+        elif damage == "results negative":
+            # the row and its trace agree, but no suite error is below 0
+            lines = _read_bytes(results).decode().splitlines()
+            fields = lines[1].split(",")
+            fields[6] = "-1.0"
+            _write(results, "\n".join([lines[0], ",".join(fields)]) + "\n")
+            text = _read_bytes(trace).decode()
+            _write(trace, text[:text.rindex(",") + 1] + "-1.0\n")
+        elif damage == "results short row":
+            # the row lacks its last field, wall_ms
+            _write(results, _read_bytes(results).decode().replace(",\n", "\n"))
         elif damage == "results not utf-8":
             # the last row's empty wall_ms field becomes the byte 0xe9
             results.write_bytes(_read_bytes(results)[:-1] + b"\xe9\n")
@@ -662,6 +698,25 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
         assert not list((out / "plots").glob("*.svg"))
+
+    def test_report_on_traces_whose_mean_overflows(self, tmp_path, capsys):
+        # each trace keeps the trace contract, but their first values
+        # overflow their mean at the first checkpoint
+        config = _mini_config(tmp_path / "out")
+        config.algorithms = ["de"]
+        config.functions = ["sphere"]
+        run_grid(config)
+        out = tmp_path / "out"
+        os.remove(out / "summary.json")
+        shutil.rmtree(out / "plots")
+        for seed in (11, 12):
+            path = out / "traces" / f"de__sphere__seed{seed}.csv"
+            header, _, rest = _read_bytes(path).decode().split("\n", 2)
+            _write(path, f"{header}\n1,1.7e308\n{rest}")
+        assert cli.main(["report", "--in", str(out)]) == 2
+        assert "the mean trace of de on sphere is not finite" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        assert not (out / "plots").exists()
 
     def test_crashed_rerun_leaves_a_directory_report_rejects(self, tmp_path, monkeypatch):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""Property tests over random small budgets, dimensions and group counts.
+"""Property tests over random small budgets, dimensions and group counts,
+and over damaged results directories.
 
 Hypothesis is derandomized, so every run checks the same examples; the
 @example rows pin the edge cases: one group, one group per dimension, a
@@ -6,10 +7,16 @@ group count that does not divide the dimension, and a budget smaller than
 the population (initialization is cut short and no generation runs).
 """
 
+import json
+import os
+import shutil
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mcdopt import mcd
+from mcdopt import cli, mcd
+from mcdopt.harness import ExperimentConfig, run_grid
 from mcdopt.baselines import CCConfig, DEConfig, cc_cycle, cc_init, run_cc, run_de
 from mcdopt.core import BudgetedEvaluator, named_stream
 
@@ -87,3 +94,91 @@ def test_mcd_spends_whole_restarts_with_monotone_trace(dim, max_iter, extra, see
     max_nfe = per_restart + extra
     outcome = mcd.run(_objective(dim, seed), max_iter, max_nfe, seed)
     _check_run(outcome, (max_nfe // per_restart) * per_restart)
+
+
+# ---------------------------------------------------------------------------
+# report over damaged directories
+
+
+@pytest.fixture(scope="module")
+def small_grid(tmp_path_factory):
+    out = tmp_path_factory.mktemp("grid") / "out"
+    run_grid(ExperimentConfig(algorithms=["mcd", "de"], functions=["sphere", "ackley"],
+                              dim=4, max_nfe=120, max_iter=3, repeats=2, de_pop_size=8,
+                              output_dir=str(out)))
+    os.remove(out / "summary.json")
+    shutil.rmtree(out / "plots")
+    names = ["results.csv", "meta.json"] + sorted(
+        os.path.join("traces", name) for name in os.listdir(out / "traces"))
+    return out, names
+
+
+def _damage(text, operation, at, to, value):
+    """One edit of a file's lines: drop, duplicate or swap rows, set a
+    comma-separated field, or cut the text short."""
+    lines = text.splitlines(keepends=True)
+    if operation == "truncate" or not lines:
+        return text[:at % (len(text) + 1)]
+    i, j = at % len(lines), to % len(lines)
+    if operation == "drop":
+        del lines[i]
+    elif operation == "duplicate":
+        lines.insert(j, lines[i])
+    elif operation == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        fields = lines[i].rstrip("\n").split(",")
+        fields[to % len(fields)] = value
+        lines[i] = ",".join(fields) + "\n"
+    return "".join(lines)
+
+
+damages = st.lists(st.tuples(
+    st.integers(0, 9),  # results.csv, meta.json or one of the eight traces
+    st.sampled_from(["drop", "duplicate", "swap", "set", "truncate"]),
+    st.integers(0, 10**4), st.integers(0, 10**4),
+    st.sampled_from(["1.7e308", "1e-320", "-1.0", "-0.0", "0", "nan", "inf", "-inf",
+                     "", "x", "\u00e9", "../up", "500"])), min_size=1, max_size=3)
+
+
+def _refuse(constant):
+    raise ValueError(f"summary.json holds {constant}")
+
+
+def _report(out_dir):
+    """Exit code of `report`, and summary.json's text if it wrote one."""
+    code = cli.main(["report", "--in", out_dir])
+    path = os.path.join(out_dir, "summary.json")
+    if not os.path.exists(path):
+        return code, None
+    with open(path, "r", encoding="utf-8") as handle:
+        return code, handle.read()
+
+
+@settings(SETTINGS, max_examples=100)
+@given(damages)
+@example([(0, "set", 1, 6, "-1.0")])    # a negative final error
+@example([(2, "set", 1, 0, "500")])     # a trace count beyond the budget
+@example([(3, "truncate", 15, 0, "")])  # a trace cut to its header
+@example([(0, "swap", 1, 2, "")])       # results rows in another order
+def test_report_accepts_or_rejects_a_damaged_directory_whole(small_grid, tmp_path_factory,
+                                                             edits):
+    grid, names = small_grid
+    out = str(tmp_path_factory.mktemp("damaged") / "out")
+    shutil.copytree(grid, out)
+    for index, operation, at, to, value in edits:
+        path = os.path.join(out, names[index])
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            text = handle.read()
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(_damage(text, operation, at, to, value))
+
+    code, summary = _report(out)
+    if code == 0:
+        json.loads(summary, parse_constant=_refuse)
+        os.remove(os.path.join(out, "summary.json"))
+        assert _report(out) == (0, summary)
+    else:
+        assert (code, summary) == (2, None)
+        assert not os.path.exists(os.path.join(out, "plots"))
+    shutil.rmtree(out)
