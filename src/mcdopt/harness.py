@@ -389,10 +389,15 @@ def _read_results(out_dir: str, config: ExperimentConfig) -> list[dict]:
     rows = []
     for line, raw in enumerate(raw_rows, start=2):
         try:
-            # a short row leaves None in its missing fields
-            if None in raw.values():
+            # a short row leaves None in its missing fields, and a long row
+            # files its extra fields under the key None
+            if None in raw or None in raw.values():
                 raise ValueError
             row = {column: kind(raw[column]) for column, kind in _RESULT_TYPES.items()}
+            # each number as run writes it, the repr of an int or a float
+            if any(kind is not str and repr(row[column]) != raw[column]
+                   for column, kind in _RESULT_TYPES.items()):
+                raise ValueError
         except ValueError:
             raise ConfigError(f"{path}, line {line}: cannot parse row") from None
         # every suite optimum is 0 and every suite value at least 0
@@ -458,6 +463,18 @@ def _read_meta(out_dir: str) -> ExperimentConfig:
     return config
 
 
+def _checkpoint_means(dense) -> list[float]:
+    """The mean over repeats at each checkpoint of equal-length dense traces,
+    bit for bit `float(np.mean(column))` of each column, in one reduction.
+
+    The reduced axis is the contiguous last one: numpy sums each row of it
+    pairwise, as it sums one column alone. Reduced along the other axis,
+    numpy adds the rows one at a time, which rounds differently from eight
+    repeats up.
+    """
+    return np.mean(np.ascontiguousarray(np.array(dense, dtype=float).T), axis=1).tolist()
+
+
 @np.errstate(over="ignore")  # an overflowing mean is a ConfigError, not a warning
 def report_from_dir(out_dir: str) -> ExperimentReport:
     """Build summary.json and the per-function charts from the files in
@@ -465,17 +482,19 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     against the config in meta.json before the first file is written."""
     config = _read_meta(out_dir)
     rows = _read_results(out_dir, config)
+    algorithms = sorted(config.algorithms)
+    functions = resolve_functions(config)
     # each cell of the grid once, in any order; no name from results.csv
-    # reaches a trace or chart path before this check
+    # reaches a trace or chart path before this check, and the cells are
+    # counted before a grid as large as meta.json may claim is built
     cells = sorted((row["algorithm"], row["function"], row["seed"]) for row in rows)
-    if cells != grid_cells(config):
+    if (len(cells) != len(algorithms) * len(functions) * config.repeats
+            or cells != grid_cells(config)):
         raise ConfigError(f"{out_dir}: results.csv must hold one row for each "
                           "(algorithm, function, seed) of the grid in meta.json")
     buckets: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         buckets.setdefault((row["algorithm"], row["function"]), []).append(row)
-    algorithms = sorted(config.algorithms)
-    functions = resolve_functions(config)
     grid = resolve_trace_grid(config)
 
     # mean final error per cell, repeats in file order
@@ -530,8 +549,8 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
             # so each dense trace has a value at every checkpoint
             dense = [densify_trace(_read_trace(out_dir, row), grid)
                      for row in sorted(buckets[algorithm, name], key=lambda row: row["seed"])]
-            points = [(float(checkpoint), float(np.mean(column)))
-                      for checkpoint, column in zip(grid, zip(*dense))]
+            points = [(float(checkpoint), mean)
+                      for checkpoint, mean in zip(grid, _checkpoint_means(dense))]
             if not all(math.isfinite(value) for _, value in points):
                 raise ConfigError(f"{out_dir}: the mean trace of {algorithm} on "
                                   f"{name} is not finite")

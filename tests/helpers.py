@@ -220,6 +220,25 @@ def output_digest(out_dir):
     return digest.hexdigest(), len(names)
 
 
+def arithmetic_profile():
+    """SHA-256 over the bits of the floating-point kernels the suite leans on,
+    at D=100 and D=1000: one `ddot`, one stacked `matmul` of four rotation
+    blocks, and the elliptic coefficients `10 ** (6 i / (D - 1))`. Machines
+    and builds that agree here share the output digests of tests/test_digests.py."""
+    rng = np.random.default_rng(2026)
+    digest = hashlib.sha256()
+    for dim in (100, 1000):
+        a = rng.standard_normal(dim)
+        b = rng.standard_normal(dim)
+        digest.update(np.float64(a @ b).tobytes())
+        block = dim // 4
+        rot = rng.standard_normal((4, block, block))
+        z = rng.standard_normal((4, block))
+        digest.update(np.matmul(rot, z[..., None]).tobytes())
+        digest.update((10.0 ** (6.0 * np.arange(dim) / (dim - 1))).tobytes())
+    return digest.hexdigest()
+
+
 def chunked_by_delta(deltas, num_groups):
     """Sort-then-chunk grouping oracle using the stdlib sort.
 

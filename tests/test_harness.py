@@ -87,6 +87,19 @@ class TestDensifyTrace:
         assert densify_trace([], [1, 2]) == [None, None]
 
 
+class TestCheckpointMeans:
+    @pytest.mark.parametrize("repeats", list(range(1, 21)) + [64, 129])
+    def test_equals_the_mean_of_each_column_bit_for_bit(self, repeats):
+        # lognormal values over many orders of magnitude, so the order of
+        # the additions shows in the last bits
+        rng = np.random.default_rng(repeats)
+        dense = rng.lognormal(0.0, 10.0, size=(repeats, 101)).tolist()
+        expected = [float(np.mean(column)) for column in zip(*dense)]
+        means = harness._checkpoint_means(dense)
+        assert all(type(mean) is float for mean in means)
+        assert [m.hex() for m in means] == [e.hex() for e in expected]
+
+
 VALID_CONFIG = """
 # minimal two-function grid
 algorithms = mcd, de
@@ -520,6 +533,16 @@ class TestCli:
     def test_report_on_missing_directory(self, tmp_path):
         assert cli.main(["report", "--in", str(tmp_path / "nowhere")]) == 2
 
+    DAMAGE_MESSAGES = {
+        "mean overflow": "the mean final_error of de on sphere is not finite",
+        "iar overflow": "an accuracy ratio to mcd on sphere is not finite",
+        "results extra field": "line 2: cannot parse row",
+        "results dim digits": "line 2: cannot parse row",
+        "results max_nfe underscore": "line 2: cannot parse row",
+        "results seed plus": "line 2: cannot parse row",
+        "meta repeats huge": "results.csv must hold one row for each",
+    }
+
     @pytest.mark.parametrize("damage", [
         "missing trace", "results header", "results number", "trace number",
         "meta json", "meta key", "meta not object", "meta types grid strings",
@@ -533,7 +556,8 @@ class TestCli:
         "meta unknown algorithm", "meta budget", "meta tie_epsilon huge",
         "trace beyond budget", "trace header only", "trace first nfe", "trace value rises",
         "trace nfe repeats", "trace last value", "trace last dropped", "results negative",
-        "results short row"])
+        "results short row", "results extra field", "results dim digits",
+        "results max_nfe underscore", "results seed plus", "meta repeats huge"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
         two_seeds = ("duplicate seed", "missing seed", "mean overflow", "trace mean overflow",
@@ -602,12 +626,12 @@ class TestCli:
             lines = [l.split(",") for l in _read_bytes(results).decode().splitlines()]
             for fields in lines:
                 if fields[:2] == ["de", "sphere"]:
-                    fields[6] = "1.7e308"
+                    fields[6] = "1.7e+308"
             _write(results, "".join(",".join(fields) + "\n" for fields in lines))
         elif damage == "iar overflow":
             # finite, nonzero means whose ratio overflows: not a zero denominator
             errors = {("mcd", "11"): "1e-10", ("mcd", "12"): "1e-10",
-                      ("de", "11"): "1e308", ("de", "12"): "1e300"}
+                      ("de", "11"): "1e+308", ("de", "12"): "1e+300"}
             lines = [l.split(",") for l in _read_bytes(results).decode().splitlines()]
             for fields in lines:
                 if fields[1] == "sphere":
@@ -659,6 +683,18 @@ class TestCli:
         elif damage == "results short row":
             # the row lacks its last field, wall_ms
             _write(results, _read_bytes(results).decode().replace(",\n", "\n"))
+        elif damage == "results extra field":
+            _write(results, _read_bytes(results).decode().replace(",\n", ",,extra\n"))
+        elif damage in ("results dim digits", "results max_nfe underscore",
+                        "results seed plus"):
+            # each parses to the grid's own number, but no run writes it so
+            column, value = {"results dim digits": (2, "\u0664"),
+                             "results max_nfe underscore": (4, "1_20"),
+                             "results seed plus": (3, "+11")}[damage]
+            lines = _read_bytes(results).decode().splitlines()
+            fields = lines[1].split(",")
+            fields[column] = value
+            _write(results, "\n".join([lines[0], ",".join(fields)]) + "\n")
         elif damage == "results not utf-8":
             # the last row's empty wall_ms field becomes the byte 0xe9
             results.write_bytes(_read_bytes(results)[:-1] + b"\xe9\n")
@@ -691,11 +727,16 @@ class TestCli:
             elif damage == "meta budget":
                 # too small for one mcd restart: a budget error, but exit 2 here
                 fields["max_iter"] = 100
+            elif damage == "meta repeats huge":
+                # a grid of 10**9 cells, rejected before it is built
+                fields["repeats"] = 10 ** 9
             else:
                 fields["repeats"] = True
             _write(meta, json.dumps(fields))
         assert cli.main(["report", "--in", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert self.DAMAGE_MESSAGES.get(damage, "") in err
         assert not (out / "summary.json").exists()
         assert not list((out / "plots").glob("*.svg"))
 

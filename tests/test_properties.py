@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcdopt import cli, mcd
-from mcdopt.harness import ExperimentConfig, run_grid
+from mcdopt.benchfns import SUITE_NAMES
+from mcdopt.harness import ALGORITHMS, _META_FIELDS, ExperimentConfig, run_grid
 from mcdopt.baselines import CCConfig, DEConfig, cc_cycle, cc_init, run_cc, run_de
 from mcdopt.core import BudgetedEvaluator, named_stream
 
@@ -137,8 +138,9 @@ damages = st.lists(st.tuples(
     st.integers(0, 9),  # results.csv, meta.json or one of the eight traces
     st.sampled_from(["drop", "duplicate", "swap", "set", "truncate"]),
     st.integers(0, 10**4), st.integers(0, 10**4),
-    st.sampled_from(["1.7e308", "1e-320", "-1.0", "-0.0", "0", "nan", "inf", "-inf",
-                     "", "x", "\u00e9", "../up", "500"])), min_size=1, max_size=3)
+    st.sampled_from(["1.7e308", "1.7e+308", "1e-320", "-1.0", "-0.0", "0", "+0", "\u0661",
+                     "nan", "inf", "-inf", "", "x", "\u00e9", "../up", "500"])),
+    min_size=1, max_size=3)
 
 
 def _refuse(constant):
@@ -173,6 +175,12 @@ def test_report_accepts_or_rejects_a_damaged_directory_whole(small_grid, tmp_pat
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(_damage(text, operation, at, to, value))
 
+    _check_whole(out)
+
+
+def _check_whole(out):
+    """`report` exits 0 with strict JSON that a rerun rebuilds byte for byte,
+    or exits 2 and writes nothing."""
     code, summary = _report(out)
     if code == 0:
         json.loads(summary, parse_constant=_refuse)
@@ -182,3 +190,29 @@ def test_report_accepts_or_rejects_a_damaged_directory_whole(small_grid, tmp_pat
         assert (code, summary) == (2, None)
         assert not os.path.exists(os.path.join(out, "plots"))
     shutil.rmtree(out)
+
+
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 10**9), st.just(10**400),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+    st.lists(st.integers(-1, 10**9), max_size=4),
+    st.lists(st.sampled_from(sorted(SUITE_NAMES) + list(ALGORITHMS)), max_size=4))
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.sampled_from(_META_FIELDS), json_values)
+@example("repeats", 10**9)           # a grid too large to build
+@example("tie_epsilon", 10**400)     # an integer no float can hold
+@example("functions", ["ackley", "sphere"])
+def test_report_accepts_or_rejects_a_generated_meta_value_whole(small_grid, tmp_path_factory,
+                                                                key, value):
+    grid, _ = small_grid
+    out = str(tmp_path_factory.mktemp("meta") / "out")
+    shutil.copytree(grid, out)
+    path = os.path.join(out, "meta.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        meta = json.load(handle)
+    meta[key] = value
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(meta, handle)
+    _check_whole(out)
