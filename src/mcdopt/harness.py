@@ -2,35 +2,36 @@
 
 A grid run executes algorithm x function x repeat cells, each with a fresh
 budgeted evaluator, and writes run-level rows (results.csv), per-run
-improvement traces (traces/), a machine-readable aggregate (summary.json)
-and one convergence chart per function (plots/). The summary and the charts
-are derived purely from the files written during the run, so `report` can
+improvement traces (traces/), the config it ran (meta.json), an aggregate
+(summary.json) and one convergence chart per function (plots/). `report`
+derives the summary and the charts from the other files alone, so it can
 delete and byte-identically regenerate them at any time.
 
-Every file is written to a temp file beside it and moved into place with
-`os.replace`. A grid run first removes the previous results.csv, meta.json
-and summary.json, and the traces and charts an earlier grid left, and
-writes results.csv last, as its commit point: a run that dies part-way
-leaves no results table, so `report` rejects the directory instead of
-mixing two experiments.
-
-Numbers are written with round-trip decimal formatting (repr), and wall
-times are opt-in (`record_timing = true`), so a rerun of the same config
+`run` writes each line through the one rule `report` reads it back with,
+and ends each in a newline: results.csv holds `",".join(RESULT_COLUMNS)`,
+then one `_result_line` per cell (the repr of each number, each text as
+is); a trace holds TRACE_HEADER, then one `_trace_line`, `nfe,repr(value)`,
+per improvement; meta.json holds every ExperimentConfig field but
+output_dir, as the grid resolved it. Wall times are opt-in (`wall_ms` is
+empty unless `record_timing = true`), so a rerun of the same config
 reproduces every derived file byte for byte.
+
+Every file is written to a temp file beside it and moved into place with
+`os.replace`. results.csv is written last: a grid that dies part-way leaves
+no results table (see `run_grid`), so `report` rejects the directory.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import glob
-import io
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import repeat
 from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -45,10 +46,35 @@ ALGORITHMS = ("mcd", "de", "cc")
 
 ALGORITHM_COLORS = {"mcd": "#c0392b", "de": "#2471a3", "cc": "#1e8449"}
 
-# the results.csv columns in order, each with the type report_from_dir reads
+# the results.csv columns in order, each with the parser report_from_dir
+# reads it with; wall_ms is empty or a count of milliseconds
 _RESULT_TYPES = {"algorithm": str, "function": str, "dim": int, "seed": int,
-                 "max_nfe": int, "used_nfe": int, "final_error": float, "wall_ms": str}
+                 "max_nfe": int, "used_nfe": int, "final_error": float,
+                 "wall_ms": lambda text: text and str(abs(int(text)))}
 RESULT_COLUMNS = tuple(_RESULT_TYPES)
+TRACE_HEADER = "nfe,best_value"
+
+
+def _result_line(row: dict) -> str:
+    """The results.csv line of a row: each text as is, the repr of each number."""
+    return ",".join(value if isinstance(value, str) else repr(value)
+                    for value in map(row.__getitem__, RESULT_COLUMNS))
+
+
+def _trace_line(nfe: int, value: float) -> str:
+    return f"{nfe},{value!r}"
+
+
+def _text(header: str, lines) -> str:
+    return "".join(f"{line}\n" for line in (header, *lines))
+
+
+def _lines(path: str, text: str, header: str) -> list[str]:
+    """The lines of a text that `_text` wrote with `header`."""
+    lines = text.split("\n")
+    if lines[0] != header or lines.pop():
+        raise ConfigError(f"{path}: expected the header {header} and a newline after each line")
+    return lines[1:]
 
 
 class ConfigError(OptimizationError):
@@ -127,6 +153,8 @@ class ExperimentConfig:
     suite_seed: int = 0
     trace_grid: list[int] = field(default_factory=list)
     output_dir: str = "results"
+    # meta.json gained the fields below output_dir after its first format;
+    # one without them reads back with their defaults
     record_timing: bool = False
     tie_epsilon: float = 0.0
     de_pop_size: int = DEConfig.pop_size
@@ -142,10 +170,7 @@ def _parse_bool(value: str) -> bool:
 
 
 _PARSERS = {
-    int: int,
-    float: float,
-    bool: _parse_bool,
-    str: str,
+    int: int, float: float, bool: _parse_bool, str: str,
     list[str]: lambda value: [item.strip() for item in value.split(",") if item.strip()],
     list[int]: lambda value: [int(item) for item in value.split(",") if item.strip()],
 }
@@ -167,9 +192,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {number}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"line {number}: unknown key '{key}'")
         if key in raw:
@@ -193,11 +216,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def _read_text(path: str) -> str:
-    """The text of a UTF-8 file, line endings untranslated (as the csv module
-    expects); a file that cannot be read or decoded is a ConfigError."""
+    """The text of a UTF-8 file, line endings untranslated (a CRLF stays a
+    CRLF); a file that cannot be read or decoded is a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -248,9 +271,7 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 def resolve_functions(config: ExperimentConfig) -> list[str]:
-    if config.functions == ["all"]:
-        return sorted(SUITE_NAMES)
-    return sorted(config.functions)
+    return sorted(SUITE_NAMES if config.functions == ["all"] else config.functions)
 
 
 def resolve_trace_grid(config: ExperimentConfig) -> list[int]:
@@ -319,18 +340,10 @@ def _write_text(path: str, text: str) -> None:
         raise
 
 
-def _csv_text(header, rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-# the config fields meta.json records, as the grid resolved them;
-# report_from_dir reads them back into an ExperimentConfig
-_META_FIELDS = ("algorithms", "functions", "dim", "max_nfe", "max_iter", "repeats",
-                "base_seed", "suite_seed", "trace_grid", "tie_epsilon")
+# meta.json records every config field but output_dir, as the grid resolved them
+_NAMES = [f.name for f in fields(ExperimentConfig)]
+_META_FIELDS = tuple(name for name in _NAMES if name != "output_dir")
+_META_DEFAULTS = {n: getattr(ExperimentConfig, n) for n in _NAMES[_NAMES.index("output_dir") + 1:]}
 
 
 def run_grid(config: ExperimentConfig) -> ExperimentReport:
@@ -351,9 +364,8 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
     # until results.csv is written again, report_from_dir rejects the directory
-    stale = [os.path.join(out_dir, name)
-             for name in ("results.csv", "meta.json", "summary.json")]
-    stale += glob.glob(os.path.join(glob.escape(traces_dir), "*__*__seed*.csv"))
+    stale = [os.path.join(out_dir, name) for name in ("results.csv", "meta.json", "summary.json")]
+    stale += glob.glob(os.path.join(glob.escape(traces_dir), _trace_filename("*", "*", "*")))
     stale += glob.glob(os.path.join(glob.escape(out_dir), "plots", "*.svg"))
     for path in stale:
         with contextlib.suppress(FileNotFoundError):
@@ -363,47 +375,36 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
     for algorithm, name, seed in grid_cells(config):
         err, used, trace, wall = run_single(algorithm, suite[name], seed, config)
         wall_ms = str(int(round(wall * 1000.0))) if config.record_timing else ""
-        rows.append((algorithm, name, config.dim, seed, config.max_nfe, used,
-                     repr(err), wall_ms))
+        rows.append(dict(zip(RESULT_COLUMNS, (algorithm, name, config.dim, seed,
+                                              config.max_nfe, used, err, wall_ms))))
         _write_text(os.path.join(traces_dir, _trace_filename(algorithm, name, seed)),
-                    _csv_text(("nfe", "best_value"),
-                              [(nfe, repr(value)) for nfe, value in trace]))
+                    _text(TRACE_HEADER, (_trace_line(*point) for point in trace)))
 
     meta = {key: getattr(config, key) for key in _META_FIELDS}
     _write_text(os.path.join(out_dir, "meta.json"),
                 json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    _write_text(os.path.join(out_dir, "results.csv"), _csv_text(RESULT_COLUMNS, rows))
+    _write_text(os.path.join(out_dir, "results.csv"),
+                _text(",".join(RESULT_COLUMNS), map(_result_line, rows)))
     return report_from_dir(out_dir)
 
 
 def _read_results(out_dir: str, config: ExperimentConfig) -> list[dict]:
+    """The typed rows of results.csv, each line as `_result_line` writes it."""
     path = os.path.join(out_dir, "results.csv")
-    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
-    try:
-        raw_rows = list(reader)
-    except csv.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    missing = [column for column in RESULT_COLUMNS if column not in (reader.fieldnames or [])]
-    if missing:
-        raise ConfigError(f"{path}: missing columns {', '.join(missing)}")
     rows = []
-    for line, raw in enumerate(raw_rows, start=2):
+    for number, line in enumerate(_lines(path, _read_text(path), ",".join(RESULT_COLUMNS)),
+                                  start=2):
         try:
-            # a short row leaves None in its missing fields, and a long row
-            # files its extra fields under the key None
-            if None in raw or None in raw.values():
-                raise ValueError
-            row = {column: kind(raw[column]) for column, kind in _RESULT_TYPES.items()}
-            # each number as run writes it, the repr of an int or a float
-            if any(kind is not str and repr(row[column]) != raw[column]
-                   for column, kind in _RESULT_TYPES.items()):
+            row = {column: kind(value) for (column, kind), value
+                   in zip(_RESULT_TYPES.items(), line.split(","), strict=True)}
+            if _result_line(row) != line:
                 raise ValueError
         except ValueError:
-            raise ConfigError(f"{path}, line {line}: cannot parse row") from None
+            raise ConfigError(f"{path}, line {number}: cannot parse row") from None
         # every suite optimum is 0 and every suite value at least 0
         if not (0.0 <= row["final_error"] < math.inf and 1 <= row["used_nfe"] <= row["max_nfe"]
                 and (row["dim"], row["max_nfe"]) == (config.dim, config.max_nfe)):
-            raise ConfigError(f"{path}, line {line}: a row needs a final_error in [0, inf), "
+            raise ConfigError(f"{path}, line {number}: a row needs a final_error in [0, inf), "
                               "the dim and max_nfe of meta.json and used_nfe in 1..max_nfe")
         rows.append(row)
     return rows
@@ -413,15 +414,26 @@ def _read_trace(out_dir: str, row: dict) -> list[tuple[int, float]]:
     """The improvement trace of one results row, held to the evaluator's trace
     contract: counts from 1 strictly rising to at most the row's used_nfe, and
     finite values strictly falling to the row's final_error (every suite
-    optimum is 0)."""
+    optimum is 0). Its text must be ASCII without blanks and each count as
+    `str` writes it; a value need only parse as a float, as a round trip of
+    every value through `_trace_line` would cost 2-3 ms a report."""
     path = os.path.join(out_dir, "traces",
                         _trace_filename(row["algorithm"], row["function"], row["seed"]))
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    text = _read_text(path)
+    lines = _lines(path, text, TRACE_HEADER)
     try:
-        if next(reader, None) != ["nfe", "best_value"]:
-            raise ConfigError(f"{path}: expected the header nfe,best_value")
-        trace = [(int(nfe), float(value)) for nfe, value in reader]
-    except (ValueError, csv.Error):
+        # no ASCII blank, which int() and float() strip, and one comma a
+        # line, so that the counts and the values alternate
+        if (not text.isascii() or any(map(text.__contains__, " \t\r\v\f"))
+                or set(map(str.count, lines, repeat(","))) - {1}):
+            raise ValueError
+        fields = ",".join(lines).split(",") if lines else []
+        counts = fields[0::2]
+        nfes = list(map(int, counts))
+        trace = list(zip(nfes, map(float, fields[1::2])))
+        if list(map(str, nfes)) != counts:
+            raise ValueError
+    except ValueError:
         raise ConfigError(f"{path}: cannot parse trace rows") from None
     if not all(math.isfinite(value) for _, value in trace):
         raise ConfigError(f"{path}: trace values must be finite")
@@ -450,8 +462,7 @@ def _read_meta(out_dir: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(meta, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    # directories written before tie_epsilon was recorded lack it
-    meta.setdefault("tie_epsilon", ExperimentConfig.tie_epsilon)
+    meta = {**_META_DEFAULTS, **meta}
     wrong = [key for key in _META_FIELDS if not _json_is(meta.get(key), _FIELD_TYPES[key])]
     if wrong:
         raise ConfigError(f"{path}: missing or mistyped keys {', '.join(wrong)}")
@@ -528,16 +539,9 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
                                        config.tie_epsilon)
         wtl[baseline] = {"wins": wins, "ties": ties, "losses": losses}
 
-    summary = {
-        "algorithms": algorithms,
-        "functions": functions,
-        "dim": config.dim,
-        "max_nfe": config.max_nfe,
-        "repeats": config.repeats,
-        "runs": len(rows),
-        "aggregate": aggregate,
-        "wtl": wtl,
-    }
+    summary = {"algorithms": algorithms, "functions": functions, "dim": config.dim,
+               "max_nfe": config.max_nfe, "repeats": config.repeats, "runs": len(rows),
+               "aggregate": aggregate, "wtl": wtl}
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     # read and check every trace before the first write, so a damaged
     # directory gets no summary.json and no chart
@@ -559,13 +563,9 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
 
     summary_path = os.path.join(out_dir, "summary.json")
     _write_text(summary_path, summary_text)
-    plots_dir = os.path.join(out_dir, "plots")
-    os.makedirs(plots_dir, exist_ok=True)
-    plot_paths = []
-    for name, text in charts.items():
-        path = os.path.join(plots_dir, f"{name}.svg")
+    os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
+    plot_paths = [os.path.join(out_dir, "plots", f"{name}.svg") for name in charts]
+    for path, text in zip(plot_paths, charts.values()):
         _write_text(path, text)
-        plot_paths.append(path)
-
     return ExperimentReport(output_dir=out_dir, rows=rows, summary=summary,
                             summary_path=summary_path, plot_paths=plot_paths)

@@ -362,9 +362,24 @@ class TestRunGrid:
         run_grid(config)
         meta = {"algorithms": ["de", "mcd"], "functions": ["rastrigin", "sphere"], "dim": 4,
                 "max_nfe": 120, "max_iter": 3, "repeats": 2, "base_seed": 11,
-                "suite_seed": 5, "trace_grid": [60, 120], "tie_epsilon": 0.0}
+                "suite_seed": 5, "trace_grid": [60, 120], "tie_epsilon": 0.0,
+                "record_timing": False, "de_pop_size": 8, "cc_pop_size": 8, "cc_groups": 2}
         assert _read_bytes(tmp_path / "out" / "meta.json").decode() == \
             json.dumps(meta, indent=2, sort_keys=True) + "\n"
+
+    def test_report_reads_a_meta_without_the_late_keys(self, tmp_path):
+        # a meta.json of the first format, before tie_epsilon and the
+        # baseline settings were recorded, reports with their defaults
+        out = tmp_path / "out"
+        run_grid(_mini_config(out))
+        before = _read_bytes(out / "summary.json")
+        meta = json.loads(_read_bytes(out / "meta.json"))
+        for key in ("record_timing", "tie_epsilon", "de_pop_size", "cc_pop_size", "cc_groups"):
+            del meta[key]
+        _write(out / "meta.json", json.dumps(meta))
+        os.remove(out / "summary.json")
+        report_from_dir(str(out))
+        assert _read_bytes(out / "summary.json") == before
 
     def test_report_accepts_rows_in_any_order(self, tmp_path):
         out = tmp_path / "out"
@@ -541,6 +556,14 @@ class TestCli:
         "results max_nfe underscore": "line 2: cannot parse row",
         "results seed plus": "line 2: cannot parse row",
         "meta repeats huge": "results.csv must hold one row for each",
+        "meta de_pop_size 3": "baseline setting",
+        "results extra column": "expected the header algorithm,",
+        "results wall_ms text": "line 2: cannot parse row",
+        "results wall_ms leading zero": "line 2: cannot parse row",
+        "trace nfe arabic digit": "cannot parse trace rows",
+        "trace value space": "cannot parse trace rows",
+        "trace nfe leading zero": "cannot parse trace rows",
+        "trace crlf": "expected the header nfe,best_value",
     }
 
     @pytest.mark.parametrize("damage", [
@@ -557,7 +580,10 @@ class TestCli:
         "trace beyond budget", "trace header only", "trace first nfe", "trace value rises",
         "trace nfe repeats", "trace last value", "trace last dropped", "results negative",
         "results short row", "results extra field", "results dim digits",
-        "results max_nfe underscore", "results seed plus", "meta repeats huge"])
+        "results max_nfe underscore", "results seed plus", "meta repeats huge",
+        "meta de_pop_size 3", "results extra column", "results wall_ms text",
+        "results wall_ms leading zero", "trace nfe arabic digit", "trace value space",
+        "trace nfe leading zero", "trace crlf"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
         two_seeds = ("duplicate seed", "missing seed", "mean overflow", "trace mean overflow",
@@ -654,9 +680,12 @@ class TestCli:
             _write(results, _read_bytes(results).decode().replace(",sphere,", ",nosuch,"))
         elif damage in ("trace beyond budget", "trace header only", "trace first nfe",
                         "trace value rises", "trace nfe repeats", "trace last value",
-                        "trace last dropped"):
-            # each breaks one rule of the evaluator's trace contract
+                        "trace last dropped", "trace nfe arabic digit", "trace value space",
+                        "trace nfe leading zero", "trace crlf"):
+            # each breaks one rule of the evaluator's trace contract, or
+            # keeps it in numbers or line ends that no run writes
             header, *rows = [l.split(",") for l in _read_bytes(trace).decode().splitlines()]
+            end = "\r\n" if damage == "trace crlf" else "\n"
             if damage == "trace beyond budget":
                 rows.append(["500", "0.5"])
             elif damage == "trace header only":
@@ -669,9 +698,15 @@ class TestCli:
                 rows[1][0] = rows[0][0]
             elif damage == "trace last value":
                 rows[-1][1] = repr(float(rows[-1][1]) / 2)
-            else:
+            elif damage == "trace nfe arabic digit":
+                rows[0][0] = "\u0661"
+            elif damage == "trace value space":
+                rows[0][1] = " " + rows[0][1]
+            elif damage == "trace nfe leading zero":
+                rows[0][0] = "01"
+            elif damage == "trace last dropped":
                 rows.pop()
-            _write(trace, "".join(",".join(fields) + "\n" for fields in [header] + rows))
+            _write(trace, "".join(",".join(fields) + end for fields in [header] + rows))
         elif damage == "results negative":
             # the row and its trace agree, but no suite error is below 0
             lines = _read_bytes(results).decode().splitlines()
@@ -685,12 +720,19 @@ class TestCli:
             _write(results, _read_bytes(results).decode().replace(",\n", "\n"))
         elif damage == "results extra field":
             _write(results, _read_bytes(results).decode().replace(",\n", ",,extra\n"))
+        elif damage == "results extra column":
+            lines = _read_bytes(results).decode().splitlines()
+            _write(results, "".join(l + (",x\n" if i else ",note\n")
+                                    for i, l in enumerate(lines)))
         elif damage in ("results dim digits", "results max_nfe underscore",
-                        "results seed plus"):
-            # each parses to the grid's own number, but no run writes it so
+                        "results seed plus", "results wall_ms text",
+                        "results wall_ms leading zero"):
+            # each parses as its column's type, but no run writes it so
             column, value = {"results dim digits": (2, "\u0664"),
                              "results max_nfe underscore": (4, "1_20"),
-                             "results seed plus": (3, "+11")}[damage]
+                             "results seed plus": (3, "+11"),
+                             "results wall_ms text": (7, "abc"),
+                             "results wall_ms leading zero": (7, "007")}[damage]
             lines = _read_bytes(results).decode().splitlines()
             fields = lines[1].split(",")
             fields[column] = value
@@ -730,6 +772,8 @@ class TestCli:
             elif damage == "meta repeats huge":
                 # a grid of 10**9 cells, rejected before it is built
                 fields["repeats"] = 10 ** 9
+            elif damage == "meta de_pop_size 3":
+                fields["de_pop_size"] = 3
             else:
                 fields["repeats"] = True
             _write(meta, json.dumps(fields))

@@ -1,5 +1,5 @@
 """Property tests over random small budgets, dimensions and group counts,
-and over damaged results directories.
+over generated grid configs and over damaged results directories.
 
 Hypothesis is derandomized, so every run checks the same examples; the
 @example rows pin the edge cases: one group, one group per dimension, a
@@ -17,9 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from mcdopt import cli, mcd
 from mcdopt.benchfns import SUITE_NAMES
-from mcdopt.harness import ALGORITHMS, _META_FIELDS, ExperimentConfig, run_grid
+from mcdopt.harness import (ALGORITHMS, _META_FIELDS, ConfigError, ExperimentConfig,
+                            load_config, run_grid)
 from mcdopt.baselines import CCConfig, DEConfig, cc_cycle, cc_init, run_cc, run_de
-from mcdopt.core import BudgetedEvaluator, named_stream
+from mcdopt.core import BudgetedEvaluator, InsufficientBudget, named_stream
 
 from helpers import sphere_objective
 
@@ -216,3 +217,69 @@ def test_report_accepts_or_rejects_a_generated_meta_value_whole(small_grid, tmp_
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(meta, handle)
     _check_whole(out)
+
+
+# ---------------------------------------------------------------------------
+# run over generated configs
+
+
+@st.composite
+def grid_settings(draw):
+    """The keys of a grid config file. Each optional key is left out or
+    drawn, and each drawn key is, now and then, one `run` must reject."""
+    def some(valid, invalid):
+        return draw(st.sampled_from([valid] * 7 + [invalid]))
+
+    def joined(names):
+        return ", ".join(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                                       unique=True)))
+
+    max_nfe = draw(st.integers(1, 200))
+    grid = draw(st.lists(st.integers(1, max_nfe), unique=True, max_size=4).map(sorted))
+    keys = {
+        "algorithms": some(joined(ALGORITHMS), "mcd, pso"),
+        "dim": some(draw(st.integers(2, 6)), 1),
+        "max_nfe": max_nfe,
+        "functions": some(joined(sorted(SUITE_NAMES) + ["all"]), "sphere, sphere"),
+        "max_iter": some(draw(st.integers(1, 4)), 0),
+        "repeats": some(draw(st.integers(1, 2)), 0),
+        "base_seed": draw(st.integers(0, 3)),
+        "suite_seed": draw(st.integers(0, 3)),
+        "trace_grid": some(", ".join(map(str, grid)), max_nfe + 1),
+        "record_timing": some(draw(st.sampled_from(["true", "false"])), "yes"),
+        "tie_epsilon": some(draw(st.sampled_from(["0", "0.25", "1e-9"])), "nan"),
+        "de_pop_size": some(draw(st.integers(4, 9)), 3),
+        "cc_pop_size": some(draw(st.integers(4, 9)), 3),
+        "cc_groups": some(draw(st.integers(1, 7)), 0),
+    }
+    required = ("algorithms", "dim", "max_nfe")
+    optional = draw(st.sets(st.sampled_from([key for key in keys if key not in required])))
+    return {key: value for key, value in keys.items() if key in required or key in optional}
+
+
+@settings(SETTINGS, max_examples=50)
+@given(grid_settings())
+@example({"algorithms": "mcd, de, cc", "dim": 6, "max_nfe": 200, "functions": "all",
+          "repeats": 2, "max_iter": 4, "record_timing": "true"})  # the largest grid
+@example({"algorithms": "mcd", "dim": 6, "max_nfe": 47, "max_iter": 4})  # a budget error
+def test_run_exits_with_a_documented_code_over_generated_configs(tmp_path_factory, grid):
+    """`run` exits 0, 2 or 3 and never raises: 2 or 3 exactly when the config
+    breaks a grid or budget rule, and 0 with a directory `report` reads back."""
+    top = tmp_path_factory.mktemp("run")
+    grid = dict(grid, output_dir=str(top / "out"))
+    path = top / "grid.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in grid.items()),
+                    encoding="utf-8")
+    try:
+        load_config(str(path))
+        expected = 0
+    except ConfigError:
+        expected = 2
+    except InsufficientBudget:
+        expected = 3
+    code = cli.main(["run", "--config", str(path)])
+    assert code == expected
+    if code == 0:
+        os.remove(top / "out" / "summary.json")
+        assert cli.main(["report", "--in", str(top / "out")]) == 0
+    shutil.rmtree(top)
