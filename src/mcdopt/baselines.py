@@ -40,7 +40,8 @@ from .core import (
 
 @dataclass
 class DEConfig:
-    """rand/1/bin settings: fixed crossover rate, scale factor drawn per individual."""
+    """rand/1/bin settings: fixed crossover rate, scale factor drawn per individual
+    from the (low, high) pair `f_range`."""
 
     pop_size: int = 50
     cr: float = 0.9
@@ -51,8 +52,6 @@ class DEConfig:
             raise ValueError("rand/1 mutation needs a population of at least 4")
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError("cr must lie in [0, 1]")
-        if isinstance(self.f_range, (int, float)):
-            self.f_range = (float(self.f_range), float(self.f_range))
         low, high = self.f_range
         if not math.isfinite(high - low):
             raise ValueError("f_range bounds and their width must be finite")
@@ -99,7 +98,7 @@ def _init_population(pop_size: int, ev: BudgetedEvaluator,
     for _ in range(pop_size):
         position = box.lower + rng.random(box.dim) * (box.upper - box.lower)
         try:
-            value = ev(position)
+            value = ev.evaluate(position)
         except BudgetExhausted:
             break
         population.append(Candidate(position, value))
@@ -312,7 +311,7 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
             point = context.copy()
             point[coords] = sub
         try:
-            value = ev(point)
+            value = ev.evaluate(point)
         except BudgetExhausted:
             return False
         if value <= population[i].value:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .benchfns import make_suite, suite_manifest
@@ -20,15 +19,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
-OUTPUT_DIR_ENV = "MCDOPT_OUTPUT_DIR"
-
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    override = os.environ.get(OUTPUT_DIR_ENV)
-    if override:
-        config.output_dir = override
-    report = run_grid(config)
+    report = run_grid(load_config(args.config))
     print(f"wrote {report.output_dir}")
     for baseline, counts in sorted(report.summary["wtl"].items()):
         print(f"mcd vs {baseline}: {counts['wins']} wins, {counts['ties']} ties, "

@@ -95,14 +95,14 @@ class Box:
 
 @dataclass(eq=False)
 class Candidate:
-    """A point in the search box, together with its objective value once known.
+    """A point in the search box and the objective value at that position.
 
-    The value is never stored speculatively: it is either None or the result
-    of actually evaluating the objective at this position.
+    The value is never stored speculatively: it is the result of actually
+    evaluating the objective at this position.
     """
 
     position: np.ndarray
-    value: Optional[float] = None
+    value: float
 
 
 class Objective:
@@ -169,6 +169,3 @@ class BudgetedEvaluator:
             self.best = Candidate(p.copy(), value)
             self.trace.append((self.used_nfe, value))
         return value
-
-    def __call__(self, position) -> float:
-        return self.evaluate(position)

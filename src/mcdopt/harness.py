@@ -403,9 +403,11 @@ def _read_results(out_dir: str, config: ExperimentConfig) -> list[dict]:
             raise ConfigError(f"{path}, line {number}: cannot parse row") from None
         # every suite optimum is 0 and every suite value at least 0
         if not (0.0 <= row["final_error"] < math.inf and 1 <= row["used_nfe"] <= row["max_nfe"]
-                and (row["dim"], row["max_nfe"]) == (config.dim, config.max_nfe)):
+                and (row["dim"], row["max_nfe"]) == (config.dim, config.max_nfe)
+                and bool(row["wall_ms"]) == config.record_timing):
             raise ConfigError(f"{path}, line {number}: a row needs a final_error in [0, inf), "
-                              "the dim and max_nfe of meta.json and used_nfe in 1..max_nfe")
+                              "the dim and max_nfe of meta.json, used_nfe in 1..max_nfe "
+                              "and a wall_ms exactly when meta.json's record_timing is true")
         rows.append(row)
     return rows
 
@@ -414,17 +416,20 @@ def _read_trace(out_dir: str, row: dict) -> list[tuple[int, float]]:
     """The improvement trace of one results row, held to the evaluator's trace
     contract: counts from 1 strictly rising to at most the row's used_nfe, and
     finite values strictly falling to the row's final_error (every suite
-    optimum is 0). Its text must be ASCII without blanks and each count as
-    `str` writes it; a value need only parse as a float, as a round trip of
-    every value through `_trace_line` would cost 2-3 ms a report."""
+    optimum is 0). Its text must be ASCII without blanks, each count as
+    `str` writes it and no `_` after the header; a value need only parse as
+    a float, as a round trip of every value through `_trace_line` would cost
+    2-3 ms a report."""
     path = os.path.join(out_dir, "traces",
                         _trace_filename(row["algorithm"], row["function"], row["seed"]))
     text = _read_text(path)
     lines = _lines(path, text, TRACE_HEADER)
     try:
-        # no ASCII blank, which int() and float() strip, and one comma a
-        # line, so that the counts and the values alternate
+        # no ASCII blank, which int() and float() strip, no digit separator
+        # after the header, and one comma a line, so that the counts and the
+        # values alternate
         if (not text.isascii() or any(map(text.__contains__, " \t\r\v\f"))
+                or "_" in text[len(TRACE_HEADER):]
                 or set(map(str.count, lines, repeat(","))) - {1}):
             raise ValueError
         fields = ",".join(lines).split(",") if lines else []

@@ -57,8 +57,8 @@ def roi_step(box: Box, x: np.ndarray, i: int, ev: BudgetedEvaluator) -> tuple:
     py = x.copy()
     px[i] = lo + quarter
     py[i] = hi - quarter
-    f_x = ev(px)
-    f_y = ev(py)
+    f_x = ev.evaluate(px)
+    f_y = ev.evaluate(py)
     return px, py, f_x, f_y, f_x < f_y
 
 

@@ -196,7 +196,7 @@ def reference_generation(population, coords, context, cfg, ev, rng):
             point = context.copy()
             point[coords] = sub
         try:
-            value = ev(point)
+            value = ev.evaluate(point)
         except BudgetExhausted:
             return False
         if value <= population[i].value:

@@ -170,7 +170,7 @@ class TestThroughEvaluator:
                    np.where(np.arange(dim) % 2 == 0, BOX_LOW, BOX_HIGH)]
         ev = BudgetedEvaluator(fn, len(points))
         for x in points:
-            assert ev(x).hex() == fn.evaluate(x).hex()
+            assert ev.evaluate(x).hex() == fn.evaluate(x).hex()
         assert ev.used_nfe == len(points)
 
     @pytest.mark.parametrize("position", [
@@ -183,7 +183,7 @@ class TestThroughEvaluator:
             reference_value(fn, position)
         ev = BudgetedEvaluator(fn, 5)
         with pytest.raises(OutOfBox):
-            ev(position)
+            ev.evaluate(position)
         assert ev.used_nfe == 0 and ev.best is None
 
 

@@ -104,79 +104,79 @@ class TestBudgetedEvaluator:
     def test_counts_each_call(self):
         ev = BudgetedEvaluator(sphere_objective(2), 10)
         assert ev.used_nfe == 0
-        assert ev(np.zeros(2)) == 0.0
+        assert ev.evaluate(np.zeros(2)) == 0.0
         assert ev.used_nfe == 1
         assert ev.remaining == 9
 
     def test_trace_records_improvements_only(self):
         ev = BudgetedEvaluator(sphere_objective(1), 10)
-        ev([3.0])
-        ev([2.0])
+        ev.evaluate([3.0])
+        ev.evaluate([2.0])
         assert ev.trace == [(1, 9.0), (2, 4.0)]
-        ev([5.0])  # worse, no trace entry
+        ev.evaluate([5.0])  # worse, no trace entry
         assert ev.trace == [(1, 9.0), (2, 4.0)]
         assert ev.best.value == 4.0
 
     def test_equal_value_does_not_extend_trace(self):
         ev = BudgetedEvaluator(sphere_objective(1), 10)
-        ev([2.0])
-        ev([-2.0])
+        ev.evaluate([2.0])
+        ev.evaluate([-2.0])
         assert ev.trace == [(1, 4.0)]
 
     def test_budget_boundary(self):
         ev = BudgetedEvaluator(sphere_objective(1), 1)
-        ev([1.0])
+        ev.evaluate([1.0])
         with pytest.raises(BudgetExhausted):
-            ev([1.0])
+            ev.evaluate([1.0])
         assert ev.used_nfe == 1
 
     def test_out_of_box_rejected_without_spending(self):
         ev = BudgetedEvaluator(sphere_objective(2, low=-1.0, high=1.0), 5)
         with pytest.raises(OutOfBox):
-            ev([2.0, 0.0])
+            ev.evaluate([2.0, 0.0])
         assert ev.used_nfe == 0
 
     def test_duck_typed_objective_is_checked_before_it_is_called(self):
         recorder = Recorder(sphere_objective(2, low=-1.0, high=1.0))
         ev = BudgetedEvaluator(recorder, 5)
         with pytest.raises(OutOfBox):
-            ev([2.0, 0.0])
+            ev.evaluate([2.0, 0.0])
         assert recorder.calls == [] and ev.used_nfe == 0
 
     def test_nan_first_value_rejected_without_spending(self):
         values = iter([math.nan, 1.0, 0.5])
         ev = BudgetedEvaluator(Objective(lambda p: next(values), Box([-1.0], [1.0])), 5)
         with pytest.raises(NonFiniteValue):
-            ev([0.0])
+            ev.evaluate([0.0])
         assert ev.used_nfe == 0 and ev.best is None and ev.trace == []
-        ev([0.0])
-        ev([0.0])
+        ev.evaluate([0.0])
+        ev.evaluate([0.0])
         assert ev.trace == [(1, 1.0), (2, 0.5)]
         assert ev.best.value == 0.5
 
     def test_nan_later_value_leaves_best_and_trace(self):
         values = iter([1.0, math.nan, 0.5])
         ev = BudgetedEvaluator(Objective(lambda p: next(values), Box([-1.0], [1.0])), 5)
-        ev([0.0])
+        ev.evaluate([0.0])
         with pytest.raises(NonFiniteValue):
-            ev([0.5])
+            ev.evaluate([0.5])
         assert ev.used_nfe == 1 and ev.trace == [(1, 1.0)]
         assert ev.best.value == 1.0 and ev.best.position[0] == 0.0
-        ev([0.0])
+        ev.evaluate([0.0])
         assert ev.trace == [(1, 1.0), (2, 0.5)]
 
     def test_infinite_values_are_ordered(self):
         values = iter([math.inf, 1.0, -math.inf, 0.0])
         ev = BudgetedEvaluator(Objective(lambda p: next(values), Box([-1.0], [1.0])), 5)
         for _ in range(4):
-            ev([0.0])
+            ev.evaluate([0.0])
         assert ev.used_nfe == 4
         assert ev.trace == [(1, math.inf), (2, 1.0), (3, -math.inf)]
 
     def test_best_position_is_detached(self):
         ev = BudgetedEvaluator(sphere_objective(1), 5)
         p = np.array([3.0])
-        ev(p)
+        ev.evaluate(p)
         p[0] = 0.0
         assert ev.best.position[0] == 3.0
 
@@ -186,9 +186,9 @@ class TestBudgetedEvaluator:
         first = BudgetedEvaluator(sphere_objective(3), 50)
         second = BudgetedEvaluator(sphere_objective(3), 50)
         for p in positions:
-            first(p)
+            first.evaluate(p)
         for p in positions:
-            second(p)
+            second.evaluate(p)
         assert first.trace == second.trace
         assert first.best.value == second.best.value
 
@@ -197,7 +197,7 @@ class TestBudgetedEvaluator:
         ev = BudgetedEvaluator(sphere_objective(4), 200)
         shadow = np.inf
         for _ in range(200):
-            value = ev(rng.uniform(-100.0, 100.0, size=4))
+            value = ev.evaluate(rng.uniform(-100.0, 100.0, size=4))
             shadow = min(shadow, value)
             assert ev.best.value == shadow
         assert ev.used_nfe == 200

@@ -564,6 +564,9 @@ class TestCli:
         "trace value space": "cannot parse trace rows",
         "trace nfe leading zero": "cannot parse trace rows",
         "trace crlf": "expected the header nfe,best_value",
+        "results wall_ms untimed": "line 2: a row needs",
+        "results wall_ms dropped": "line 2: a row needs",
+        "trace value underscore": "cannot parse trace rows",
     }
 
     @pytest.mark.parametrize("damage", [
@@ -583,7 +586,8 @@ class TestCli:
         "results max_nfe underscore", "results seed plus", "meta repeats huge",
         "meta de_pop_size 3", "results extra column", "results wall_ms text",
         "results wall_ms leading zero", "trace nfe arabic digit", "trace value space",
-        "trace nfe leading zero", "trace crlf"])
+        "trace nfe leading zero", "trace crlf", "results wall_ms untimed",
+        "results wall_ms dropped", "trace value underscore"])
     def test_report_on_damaged_directory(self, tmp_path, capsys, damage):
         config = _mini_config(tmp_path / "out")
         two_seeds = ("duplicate seed", "missing seed", "mean overflow", "trace mean overflow",
@@ -596,6 +600,7 @@ class TestCli:
             config.algorithms = ["de"]
             config.functions = ["sphere"]
         config.repeats = 2 if damage in two_seeds else 1
+        config.record_timing = damage == "results wall_ms dropped"
         run_grid(config)
         out = tmp_path / "out"
         results = out / "results.csv"
@@ -681,7 +686,7 @@ class TestCli:
         elif damage in ("trace beyond budget", "trace header only", "trace first nfe",
                         "trace value rises", "trace nfe repeats", "trace last value",
                         "trace last dropped", "trace nfe arabic digit", "trace value space",
-                        "trace nfe leading zero", "trace crlf"):
+                        "trace nfe leading zero", "trace crlf", "trace value underscore"):
             # each breaks one rule of the evaluator's trace contract, or
             # keeps it in numbers or line ends that no run writes
             header, *rows = [l.split(",") for l in _read_bytes(trace).decode().splitlines()]
@@ -704,6 +709,10 @@ class TestCli:
                 rows[0][1] = " " + rows[0][1]
             elif damage == "trace nfe leading zero":
                 rows[0][0] = "01"
+            elif damage == "trace value underscore":
+                value = rows[0][1]
+                rows[0][1] = f"{value[:3]}_{value[3:]}"
+                assert float(rows[0][1]) == float(value)  # a digit separator
             elif damage == "trace last dropped":
                 rows.pop()
             _write(trace, "".join(",".join(fields) + end for fields in [header] + rows))
@@ -726,13 +735,17 @@ class TestCli:
                                     for i, l in enumerate(lines)))
         elif damage in ("results dim digits", "results max_nfe underscore",
                         "results seed plus", "results wall_ms text",
-                        "results wall_ms leading zero"):
-            # each parses as its column's type, but no run writes it so
+                        "results wall_ms leading zero", "results wall_ms untimed",
+                        "results wall_ms dropped"):
+            # each parses as its column's type, but no run of the config in
+            # meta.json writes it so
             column, value = {"results dim digits": (2, "\u0664"),
                              "results max_nfe underscore": (4, "1_20"),
                              "results seed plus": (3, "+11"),
                              "results wall_ms text": (7, "abc"),
-                             "results wall_ms leading zero": (7, "007")}[damage]
+                             "results wall_ms leading zero": (7, "007"),
+                             "results wall_ms untimed": (7, "12"),
+                             "results wall_ms dropped": (7, "")}[damage]
             lines = _read_bytes(results).decode().splitlines()
             fields = lines[1].split(",")
             fields[column] = value
@@ -857,15 +870,6 @@ class TestCli:
     def test_suite_dim_too_small(self, tmp_path):
         assert cli.main(["suite", "--dim", "1",
                          "--manifest", str(tmp_path / "m.json")]) == 2
-
-    def test_output_dir_env_override(self, tmp_path, monkeypatch):
-        override = tmp_path / "redirected"
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(override))
-        config_path = _write(tmp_path / "grid.cfg",
-                             VALID_CONFIG + f"output_dir = {tmp_path / 'ignored'}\n")
-        assert cli.main(["run", "--config", config_path]) == 0
-        assert (override / "results.csv").is_file()
-        assert not (tmp_path / "ignored").exists()
 
     def test_missing_subcommand_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as info:
