@@ -91,17 +91,16 @@ def _init_population(pop_size: int, ev: BudgetedEvaluator,
                      rng: np.random.Generator) -> list[Candidate]:
     """Uniform random population, evaluated up-front.
 
-    Truncated silently if the budget dies during initialization.
+    The min(pop_size, ev.remaining) rows the budget funds are drawn in one
+    block, with the values of one draw per row, so a small budget truncates
+    the population silently. Each position is its own array; a truncated or
+    failing initialization leaves `rng` at the rows it drew.
     """
     box = ev.objective.box
     population = []
-    for _ in range(pop_size):
-        position = box.lower + rng.random(box.dim) * (box.upper - box.lower)
-        try:
-            value = ev.evaluate(position)
-        except BudgetExhausted:
-            break
-        population.append(Candidate(position, value))
+    for row in rng.random((min(pop_size, ev.remaining), box.dim)):
+        position = box.lower + row * (box.upper - box.lower)
+        population.append(Candidate(position, ev.evaluate(position)))
     return population
 
 

@@ -257,6 +257,9 @@ def validate_config(config: ExperimentConfig) -> None:
     if grid and not (1 <= grid[0] and grid == sorted(grid) and grid[-1] <= config.max_nfe):
         raise ConfigError("trace_grid checkpoints must be positive, ascending and "
                           "at most max_nfe")
+    # run_grid would clear and fill the working directory; "." still names it
+    if not config.output_dir:
+        raise ConfigError("output_dir must not be empty")
     # compared, not converted: a JSON integer may be too large for a float
     if not 0.0 <= config.tie_epsilon <= sys.float_info.max:
         raise ConfigError("tie_epsilon must be a finite number of at least 0")

@@ -117,35 +117,35 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
     """Run the complete budgeted search: `restart_plan` restarts from the
     original box.
 
-    Every restart begins at the box center, draws one dimension ordering from
-    the "perm" stream of `seed`, and performs max_iter halving passes over all
-    dimensions, folding the box after each step. `permutations` pins the
-    ordering per restart explicitly (mainly for worked examples and tests);
-    it must then provide exactly one ordering of integers per planned restart.
+    Every restart begins at the box center and performs max_iter halving
+    passes over all dimensions in its own ordering, folding the box after
+    each step. Every ordering is settled before the first evaluation: drawn
+    from the "perm" stream of `seed` in restart order, or taken from
+    `permutations` (for worked examples and tests), one integer ordering per
+    planned restart, so a bad one raises before any objective call.
     """
-    restarts = restart_plan(objective.dim, max_iter, max_nfe)
-    ev = BudgetedEvaluator(objective, max_nfe)
-    if permutations is not None and len(permutations) != restarts:
-        raise ValueError(f"need {restarts} pinned permutations, got {len(permutations)}")
-
-    perm_rng = named_stream(seed, "perm")
-    original = objective.box
     dim = objective.dim
+    restarts = restart_plan(dim, max_iter, max_nfe)
+    if permutations is None:
+        perm_rng = named_stream(seed, "perm")
+        orders = [perm_rng.permutation(dim) for _ in range(restarts)]
+    elif len(permutations) != restarts:
+        raise ValueError(f"need {restarts} pinned permutations, got {len(permutations)}")
+    else:
+        orders = [np.asarray(perm) for perm in permutations]
+        for r, perm in enumerate(orders):
+            # bools and floats would otherwise be cast to indices silently
+            if (perm.ndim != 1 or perm.dtype.kind not in "iu"
+                    or sorted(perm.tolist()) != list(range(dim))):
+                raise ValueError(f"restart {r}: not a permutation of 0..{dim - 1}")
+    ev = BudgetedEvaluator(objective, max_nfe)
     steps: Optional[list[StepRecord]] = [] if record_steps else None
     restart_best: Optional[Candidate] = None
-
-    for r in range(restarts):
-        box = original.copy()
+    for r, order in enumerate(orders):
+        box = objective.box.copy()
         x = box.midpoint()
-        if permutations is not None:
-            perm = np.asarray(permutations[r])
-            # bools and floats would otherwise be cast to indices silently
-            if perm.dtype.kind not in "iu" or sorted(perm.tolist()) != list(range(dim)):
-                raise ValueError(f"restart {r}: not a permutation of 0..{dim - 1}")
-        else:
-            perm = perm_rng.permutation(dim)
         for it in range(max_iter):
-            for i in perm.tolist():
+            for i in order.tolist():
                 probe = roi_step(box, x, i, ev)
                 px, py, f_x, f_y, keep_lower = probe
                 fold(box, i, keep_lower)

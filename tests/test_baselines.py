@@ -252,6 +252,37 @@ class TestDeltaGrouping:
             delta_grouping([1.0, 2.0], 3)
 
 
+class TestInitPopulation:
+    POP = 6
+
+    @staticmethod
+    def row_by_row(pop_size, ev, rng):
+        """One draw per row, evaluated until the budget is gone."""
+        box = ev.objective.box
+        population = []
+        while len(population) < pop_size and ev.remaining > 0:
+            position = box.lower + rng.random(box.dim) * (box.upper - box.lower)
+            population.append(Candidate(position, ev.evaluate(position)))
+        return population
+
+    @pytest.mark.parametrize("budget", [1, POP - 1, POP, POP + 1])
+    def test_matches_row_by_row_draws(self, budget):
+        obj = sphere_objective(3, low=-5.0, high=7.0, shift=np.array([1.0, -2.0, 3.0]))
+        ev, ev_ref = BudgetedEvaluator(obj, budget), BudgetedEvaluator(obj, budget)
+        rng, rng_ref = named_stream(5, "init"), named_stream(5, "init")
+        population = _init_population(self.POP, ev, rng)
+        reference = self.row_by_row(self.POP, ev_ref, rng_ref)
+        assert len(population) == min(self.POP, budget)
+        assert [c.position.tobytes() for c in population] == \
+            [c.position.tobytes() for c in reference]
+        assert [c.value for c in population] == [c.value for c in reference]
+        assert (ev.used_nfe, ev.trace) == (ev_ref.used_nfe, ev_ref.trace)
+        # the generator stands after the rows it drew
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        for a, b in itertools.combinations(population, 2):
+            assert not np.shares_memory(a.position, b.position)
+
+
 class TestCooperative:
     def test_init_snapshots_best(self):
         obj = sphere_objective(3)
@@ -268,8 +299,11 @@ class TestCooperative:
         obj = sphere_objective(2)
         ev = BudgetedEvaluator(obj, 1)
         ev.evaluate(np.zeros(2))
+        rng = named_stream(0, "cc-init")
+        start = rng.bit_generator.state
         with pytest.raises(InsufficientBudget):
-            cc_init(CCConfig(pop_size=4), ev, named_stream(0, "cc-init"))
+            cc_init(CCConfig(pop_size=4), ev, rng)
+        assert rng.bit_generator.state == start  # no row is drawn
 
     def test_first_cycle_groups_are_contiguous(self):
         obj = sphere_objective(4)

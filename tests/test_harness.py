@@ -201,6 +201,12 @@ class TestConfigParsing:
             parse_config_text(
                 f"algorithms = de\ndim = 4\nmax_nfe = 99\ntie_epsilon = {value}\n")
 
+    def test_empty_output_dir(self):
+        text = "algorithms = de\ndim = 4\nmax_nfe = 99\n"
+        with pytest.raises(ConfigError, match="output_dir must not be empty"):
+            parse_config_text(text + "output_dir =\n")
+        assert parse_config_text(text + "output_dir = .\n").output_dir == "."
+
     def test_budget_too_small_for_fold_runs(self):
         text = "algorithms = mcd\ndim = 10\nmax_nfe = 100\nmax_iter = 10\n"
         with pytest.raises(InsufficientBudget):
@@ -866,6 +872,16 @@ class TestCli:
                              VALID_CONFIG + f"output_dir = {blocker}/out\n")
         assert cli.main(["run", "--config", config_path]) == 2
         assert "file error" in capsys.readouterr().err
+
+    def test_empty_output_dir_exit_code(self, tmp_path, monkeypatch, capsys):
+        # an empty output_dir would clear and fill the working directory
+        config_path = _write(tmp_path / "grid.cfg", VALID_CONFIG + "output_dir =\n")
+        sentinel = _write(tmp_path / "meta.json", "not a grid\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", config_path]) == 2
+        assert "output_dir must not be empty" in capsys.readouterr().err
+        assert open(sentinel, encoding="utf-8").read() == "not a grid\n"
+        assert sorted(os.listdir(tmp_path)) == ["grid.cfg", "meta.json"]
 
     def test_suite_dim_too_small(self, tmp_path):
         assert cli.main(["suite", "--dim", "1",

@@ -82,13 +82,27 @@ class TestRestartOrderings:
 
     @pytest.mark.parametrize("dim", [1, 2, 7, 33])
     def test_orderings_come_from_the_perm_stream(self, dim):
-        outcome = run(sphere_objective(dim), max_iter=1, max_nfe=6 * dim, seed=3,
+        # every iteration of a restart walks the ordering drawn for it
+        outcome = run(sphere_objective(dim), max_iter=2, max_nfe=12 * dim, seed=3,
                       record_steps=True)
         rng = named_stream(3, "perm")
-        for r in range(3):
-            order = [s.dim_index for s in outcome.steps if s.restart == r]
-            assert order == rng.permutation(dim).tolist()
-            assert sorted(order) == list(range(dim))
+        drawn = [rng.permutation(dim).tolist() for _ in range(3)]
+        walked = [[[s.dim_index for s in outcome.steps if (s.restart, s.iteration) == (r, it)]
+                   for it in range(2)] for r in range(outcome.restarts)]
+        assert walked == [[order, order] for order in drawn]
+        assert all(sorted(order) == list(range(dim)) for order in drawn)
+
+    def test_bad_pinned_ordering_costs_no_evaluation(self):
+        calls = []
+
+        def fn(p):
+            calls.append(p.copy())
+            return float(p @ p)
+
+        obj = Objective(fn, Box([-1.0, -1.0], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="restart 1: not a permutation of 0..1"):
+            run(obj, max_iter=2, max_nfe=16, seed=0, permutations=[[0, 1], [0, 0]])
+        assert calls == []
 
 
 class TestRoiStep:
@@ -329,6 +343,9 @@ class TestRun:
             run(obj, max_iter=2, max_nfe=8, seed=0, permutations=[[0.5, 1.7]])
         with pytest.raises(ValueError):
             run(obj, max_iter=2, max_nfe=8, seed=0, permutations=[[True, False]])
+        # a bare index is no ordering, even of one dimension
+        with pytest.raises(ValueError, match="restart 0: not a permutation of 0..0"):
+            run(sphere_objective(1), max_iter=1, max_nfe=2, seed=0, permutations=[0])
 
     def test_insufficient_budget_propagates(self):
         with pytest.raises(InsufficientBudget):
