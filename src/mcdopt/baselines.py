@@ -410,8 +410,12 @@ def cc_cycle(state: CCState, cfg: CCConfig, ev: BudgetedEvaluator,
 def run_cc(objective, max_nfe: int, seed: int,
            cfg: Optional[CCConfig] = None) -> RunResult:
     """Budgeted co-evolution run: initialization, then cycles until the budget
-    is gone."""
+    is gone. More groups than dimensions is a ValueError before the first
+    evaluation."""
     cfg = cfg if cfg is not None else CCConfig()
+    dim = objective.box.dim
+    if cfg.num_groups > dim:
+        raise ValueError(f"num_groups must lie in [1, {dim}], got {cfg.num_groups}")
     ev = BudgetedEvaluator(objective, max_nfe)
     state = cc_init(cfg, ev, named_stream(seed, "cc-init"))
     gen_rng = named_stream(seed, "cc-gen")

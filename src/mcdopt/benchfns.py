@@ -32,20 +32,20 @@ CAT_SEP_UNIMODAL = "separable-unimodal"
 CAT_SEP_MULTIMODAL = "separable-multimodal"
 CAT_NONSEPARABLE = "fully-nonseparable"
 
-# name -> (base formula, category or None for grouped, rotated flag)
+# name -> (base formula, category); a None category marks a grouped function,
+# whose category its group size decides
 _SPECS = {
-    "sphere": ("sphere", CAT_SEP_UNIMODAL, False),
-    "elliptic": ("elliptic", CAT_SEP_UNIMODAL, False),
-    "rastrigin": ("rastrigin", CAT_SEP_MULTIMODAL, False),
-    "ackley": ("ackley", CAT_SEP_MULTIMODAL, False),
-    "elliptic-group": ("elliptic", None, True),
-    "rastrigin-group": ("rastrigin", None, True),
-    "rosenbrock": ("rosenbrock", CAT_NONSEPARABLE, False),
-    "schwefel12": ("schwefel12", CAT_NONSEPARABLE, False),
+    "sphere": ("sphere", CAT_SEP_UNIMODAL),
+    "elliptic": ("elliptic", CAT_SEP_UNIMODAL),
+    "rastrigin": ("rastrigin", CAT_SEP_MULTIMODAL),
+    "ackley": ("ackley", CAT_SEP_MULTIMODAL),
+    "elliptic-group": ("elliptic", None),
+    "rastrigin-group": ("rastrigin", None),
+    "rosenbrock": ("rosenbrock", CAT_NONSEPARABLE),
+    "schwefel12": ("schwefel12", CAT_NONSEPARABLE),
 }
 
 SUITE_NAMES = tuple(_SPECS)
-BASES = frozenset(base for base, _, _ in _SPECS.values())
 
 # bases whose value is a plain per-coordinate sum; the exponential coupling in
 # the ackley base makes it separable only in the weaker argument-wise sense
@@ -56,12 +56,13 @@ class BenchFunction:
     """A shifted, optionally group-rotated benchmark objective.
 
     Satisfies the objective contract used throughout the package: `dim`,
-    `box`, `optimum_value`, `evaluate(position)`.
+    `box`, `optimum_value`, `evaluate(position)`. The name decides the base
+    and the category (a grouped one by its stacks), the shift the dimension.
 
     Attributes
     ----------
     name : str
-        Suite name, unique per suite.
+        Suite name, one of SUITE_NAMES.
     base : str
         Underlying formula: sphere, elliptic, rastrigin, ackley,
         rosenbrock or schwefel12.
@@ -82,37 +83,33 @@ class BenchFunction:
     # does not check them a second time
     checks_bounds = True
 
-    def __init__(self, name: str, base: str, category: str, dim: int,
-                 shift, rot_idx=None, rot=None, seed: int = 0):
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
-        if base not in BASES:
-            raise ValueError(f"unknown base formula '{base}'")
+    def __init__(self, name: str, shift, rot_idx=None, rot=None, seed: int = 0):
+        if name not in _SPECS:
+            raise ValueError(f"unknown function name '{name}'")
+        base, category = _SPECS[name]
         shift = np.array(shift, dtype=float, copy=True)
-        if shift.shape != (dim,):
-            raise ValueError("shift must be a vector of length dim")
+        if shift.ndim != 1 or not shift.size:
+            raise ValueError("shift must be a non-empty vector")
+        if category is None:
+            if not (np.ndim(rot_idx) == 2 and np.shape(rot)
+                    == np.shape(rot_idx) + np.shape(rot_idx)[1:]):
+                raise ValueError(f"'{name}' needs (groups, m) rot_idx and (groups, m, m) rot")
+            category = f"partially-separable({rot_idx.shape[1]})"
+        elif rot_idx is not None or rot is not None:
+            raise ValueError(f"'{name}' is not rotated: rot_idx and rot must be None")
+        dim = shift.size
         self.name = name
         self.base = base
         self.category = category
         self.dim = dim
         self.seed = seed
         self.shift = shift
-        rotated = rot_idx is not None or rot is not None
-        if rotated and not (np.ndim(rot_idx) == 2 and np.shape(rot)
-                            == np.shape(rot_idx) + np.shape(rot_idx)[1:]):
-            raise ValueError("rot_idx must be a (groups, m) stack and rot a "
-                             "(groups, m, m) stack, or both None")
         self.rot_idx = rot_idx
         self.rot = rot
         self.box = Box(np.full(dim, BOX_LOW), np.full(dim, BOX_HIGH))
         self.optimum_value = 0.0
-        if base == "elliptic":
-            if dim == 1:
-                self._coeffs = np.ones(1)
-            else:
-                self._coeffs = 10.0 ** (6.0 * np.arange(dim) / (dim - 1))
-        else:
-            self._coeffs = None
+        self._coeffs = (10.0 ** (6.0 * np.arange(dim) / max(dim - 1, 1))
+                        if base == "elliptic" else None)
 
     @property
     def optimum_position(self) -> np.ndarray:
@@ -147,7 +144,7 @@ class BenchFunction:
             w = z + 1.0  # optimum of the base sits at all-ones, folded into the shift
             return float(np.add.reduce(100.0 * (w[1:] - w[:-1] ** 2) ** 2
                                        + (1.0 - w[:-1]) ** 2))
-        partial = z.cumsum()  # schwefel12: __init__ admits no other base
+        partial = z.cumsum()  # schwefel12: _SPECS names no other base
         return float(partial @ partial)
 
     def __repr__(self) -> str:
@@ -163,12 +160,11 @@ def make_function(name: str, dim: int, seed: int) -> BenchFunction:
     """Construct one suite function; deterministic in (name, dim, seed)."""
     if name not in _SPECS:
         raise ValueError(f"unknown function name '{name}'")
-    base, category, rotated = _SPECS[name]
     rng = named_stream(seed, f"bench.{name}")
     half_span = (BOX_HIGH - BOX_LOW) / 2.0 * SHIFT_FRACTION
     shift = rng.uniform(-half_span, half_span, size=dim)
     rot_idx = rot = None
-    if rotated:
+    if _SPECS[name][1] is None:
         m = group_size(dim)
         count = dim // m
         perm = rng.permutation(dim)
@@ -178,9 +174,7 @@ def make_function(name: str, dim: int, seed: int) -> BenchFunction:
         sign = np.sign(np.diagonal(r, axis1=1, axis2=2))
         sign[sign == 0] = 1.0
         rot *= sign[:, None, :]
-        category = f"partially-separable({m})"
-    return BenchFunction(name, base, category, dim, shift, rot_idx=rot_idx, rot=rot,
-                         seed=seed)
+    return BenchFunction(name, shift, rot_idx=rot_idx, rot=rot, seed=seed)
 
 
 def make_suite(dim: int, seed: int) -> list[BenchFunction]:

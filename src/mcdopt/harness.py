@@ -231,9 +231,10 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config_text(_read_text(path))
 
 
-def validate_config(config: ExperimentConfig) -> None:
+def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Structural checks first (ConfigError), then budget checks per algorithm
-    (InsufficientBudget)."""
+    (InsufficientBudget). Returns the grid it checked, resolved: the
+    algorithms sorted, the sorted function list and the explicit trace grid."""
     if not config.algorithms:
         raise ConfigError("at least one algorithm is required")
     for algorithm in config.algorithms:
@@ -271,6 +272,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"baseline setting: {exc}") from None
     if "mcd" in config.algorithms:
         mcd.restart_plan(config.dim, config.max_iter, config.max_nfe)
+    return replace(config, algorithms=sorted(config.algorithms),
+                   functions=resolve_functions(config), trace_grid=resolve_trace_grid(config))
 
 
 def resolve_functions(config: ExperimentConfig) -> list[str]:
@@ -285,10 +288,10 @@ def resolve_trace_grid(config: ExperimentConfig) -> list[int]:
 
 
 def grid_cells(config: ExperimentConfig) -> list[tuple[str, str, int]]:
-    """The (algorithm, function, seed) cells of a grid in run order, which is sorted."""
+    """The (algorithm, function, seed) cells of a resolved grid in run order, which is sorted."""
     return [(algorithm, name, config.base_seed + repeat)
-            for algorithm in sorted(config.algorithms)
-            for name in resolve_functions(config)
+            for algorithm in config.algorithms
+            for name in config.functions
             for repeat in range(config.repeats)]
 
 
@@ -297,8 +300,12 @@ def run_single(algorithm: str, fn, seed: int, config: ExperimentConfig):
     fresh evaluator.
 
     Returns (final_error, used_nfe, trace, wall_seconds), where the final
-    error is the best value found minus the function's optimum value.
+    error is the best value found minus the function's optimum value; an
+    objective without one (an optimum_value of None) is a ConfigError before
+    the first evaluation.
     """
+    if fn.optimum_value is None:
+        raise ConfigError("the final error needs an objective with an optimum_value")
     started = time.perf_counter()
     if algorithm == "mcd":
         result = mcd.run(fn, config.max_iter, config.max_nfe, seed)
@@ -358,10 +365,7 @@ def run_grid(config: ExperimentConfig) -> ExperimentReport:
     package names them, are removed before the first cell; other files are
     left alone. results.csv is written last.
     """
-    validate_config(config)
-    config = replace(config, algorithms=sorted(config.algorithms),
-                     functions=resolve_functions(config),
-                     trace_grid=resolve_trace_grid(config))
+    config = validate_config(config)
     suite = {fn.name: fn for fn in make_suite(config.dim, config.suite_seed)}
     out_dir = config.output_dir
     traces_dir = os.path.join(out_dir, "traces")
@@ -421,8 +425,8 @@ def _read_trace(out_dir: str, row: dict) -> list[tuple[int, float]]:
     finite values strictly falling to the row's final_error (every suite
     optimum is 0). Its text must be ASCII without blanks, each count as
     `str` writes it and no `_` after the header; a value need only parse as
-    a float, as a round trip of every value through `_trace_line` would cost
-    2-3 ms a report."""
+    a float, as a round trip of every value through `_trace_line` made a
+    D=100 report about 40% slower."""
     path = os.path.join(out_dir, "traces",
                         _trace_filename(row["algorithm"], row["function"], row["seed"]))
     text = _read_text(path)
@@ -462,7 +466,7 @@ def _json_is(value, kind) -> bool:
 
 
 def _read_meta(out_dir: str) -> ExperimentConfig:
-    """The config a grid recorded in meta.json, held to the rules of `run`."""
+    """The config a grid recorded in meta.json, held to the rules of `run` and resolved."""
     path = os.path.join(out_dir, "meta.json")
     try:
         meta = json.loads(_read_text(path))
@@ -474,12 +478,10 @@ def _read_meta(out_dir: str) -> ExperimentConfig:
     wrong = [key for key in _META_FIELDS if not _json_is(meta.get(key), _FIELD_TYPES[key])]
     if wrong:
         raise ConfigError(f"{path}: missing or mistyped keys {', '.join(wrong)}")
-    config = ExperimentConfig(**{key: meta[key] for key in _META_FIELDS})
     try:
-        validate_config(config)
+        return validate_config(ExperimentConfig(**{key: meta[key] for key in _META_FIELDS}))
     except InsufficientBudget as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return config
 
 
 def _checkpoint_means(dense) -> list[float]:
@@ -498,11 +500,11 @@ def _checkpoint_means(dense) -> list[float]:
 def report_from_dir(out_dir: str) -> ExperimentReport:
     """Build summary.json and the per-function charts from the files in
     `out_dir`, returning the aggregate report. Every input is read and checked
-    against the config in meta.json before the first file is written."""
+    against the config in meta.json before the first file is written, and
+    summary.json is written last."""
     config = _read_meta(out_dir)
     rows = _read_results(out_dir, config)
-    algorithms = sorted(config.algorithms)
-    functions = resolve_functions(config)
+    algorithms, functions, grid = config.algorithms, config.functions, config.trace_grid
     # each cell of the grid once, in any order; no name from results.csv
     # reaches a trace or chart path before this check, and the cells are
     # counted before a grid as large as meta.json may claim is built
@@ -514,7 +516,6 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
     buckets: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         buckets.setdefault((row["algorithm"], row["function"]), []).append(row)
-    grid = resolve_trace_grid(config)
 
     # mean final error per cell, repeats in file order
     mean_errors = {key: float(np.mean([row["final_error"] for row in cell]))
@@ -569,11 +570,15 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
             series.append((algorithm, ALGORITHM_COLORS[algorithm], points))
         charts[name] = convergence_svg(f"{name} (dim {config.dim})", series)
 
+    # summary.json goes first and comes back last, so a summary.json on disk
+    # means that a report finished
     summary_path = os.path.join(out_dir, "summary.json")
-    _write_text(summary_path, summary_text)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     plot_paths = [os.path.join(out_dir, "plots", f"{name}.svg") for name in charts]
     for path, text in zip(plot_paths, charts.values()):
         _write_text(path, text)
+    _write_text(summary_path, summary_text)
     return ExperimentReport(output_dir=out_dir, rows=rows, summary=summary,
                             summary_path=summary_path, plot_paths=plot_paths)

@@ -379,6 +379,14 @@ class TestCooperative:
         with pytest.raises(ValueError):
             cc_cycle(state, cfg, ev, named_stream(1, "cc-gen"))
 
+    def test_run_cc_rejects_more_groups_than_dimensions_before_spending(self):
+        calls = []
+        obj = Objective(lambda p: calls.append(1) or float(p @ p),
+                        Box(np.full(3, -100.0), np.full(3, 100.0)), optimum_value=0.0)
+        with pytest.raises(ValueError, match=r"num_groups must lie in \[1, 3\], got 10"):
+            run_cc(obj, 200, 0, CCConfig(num_groups=10))
+        assert calls == []
+
     def test_run_cc_spends_whole_budget(self):
         obj = sphere_objective(4, shift=np.array([22.0, -8.0, 50.0, -61.0]))
         result = run_cc(obj, 55, seed=2, cfg=CCConfig(pop_size=10, num_groups=2))

@@ -87,9 +87,32 @@ class TestSuiteStructure:
         with pytest.raises(ValueError):
             make_function("rosenbrok", 4, 0)
 
-    def test_unknown_base_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown base formula 'nope'"):
-            BenchFunction("x", "nope", "separable-unimodal", 4, np.zeros(4))
+    def test_unknown_name_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown function name 'nope'"):
+            BenchFunction("nope", np.zeros(4))
+
+    @pytest.mark.parametrize("shift", [np.zeros(0), np.zeros((2, 2)), 0.0])
+    def test_shift_must_be_a_non_empty_vector(self, shift):
+        with pytest.raises(ValueError, match="shift must be a non-empty vector"):
+            BenchFunction("sphere", shift)
+
+    def test_name_decides_base_category_and_dim(self):
+        fn = BenchFunction("rosenbrock", np.zeros(3))
+        assert (fn.base, fn.category, fn.dim) == ("rosenbrock", "fully-nonseparable", 3)
+        grouped = make_function("rastrigin-group", 12, 4)
+        again = BenchFunction("rastrigin-group", grouped.shift, grouped.rot_idx, grouped.rot)
+        assert (again.base, again.category) == ("rastrigin", "partially-separable(3)")
+
+    def test_stacks_on_an_unrotated_name_rejected(self):
+        grouped = make_function("elliptic-group", 8, 6)
+        with pytest.raises(ValueError, match="'elliptic' is not rotated"):
+            BenchFunction("elliptic", grouped.shift, grouped.rot_idx, grouped.rot)
+        with pytest.raises(ValueError, match="'sphere' is not rotated"):
+            BenchFunction("sphere", np.zeros(8), rot_idx=grouped.rot_idx)
+
+    def test_grouped_name_without_stacks_rejected(self):
+        with pytest.raises(ValueError, match="'elliptic-group' needs"):
+            BenchFunction("elliptic-group", np.zeros(8))
 
     def test_suite_needs_two_dims(self):
         with pytest.raises(ValueError):
@@ -103,11 +126,11 @@ class TestValues:
                 assert abs(fn.evaluate(fn.optimum_position)) <= 1e-9
 
     def test_sphere_at_unit_offsets(self):
-        fn = BenchFunction("sphere", "sphere", "separable-unimodal", 4, np.zeros(4))
+        fn = BenchFunction("sphere", np.zeros(4))
         assert fn.evaluate([1.0, 1.0, 1.0, 1.0]) == 4.0
 
     def test_elliptic_condition_number(self):
-        fn = BenchFunction("elliptic", "elliptic", "separable-unimodal", 4, np.zeros(4))
+        fn = BenchFunction("elliptic", np.zeros(4))
         unit = np.zeros(4)
         unit[0] = 1.0
         assert fn.evaluate(unit) == 1.0
@@ -116,24 +139,24 @@ class TestValues:
         assert fn.evaluate(unit) == 1e6
 
     def test_rastrigin_known_points(self):
-        fn = BenchFunction("rastrigin", "rastrigin", "separable-multimodal", 2, np.zeros(2))
+        fn = BenchFunction("rastrigin", np.zeros(2))
         assert fn.evaluate([0.0, 0.0]) == 0.0
         # cos(2*pi) == 1 at integer offsets, leaving the quadratic term
         assert abs(fn.evaluate([1.0, 0.0]) - 1.0) < 1e-9
 
     def test_ackley_zero_at_origin(self):
-        fn = BenchFunction("ackley", "ackley", "separable-multimodal", 3, np.zeros(3))
+        fn = BenchFunction("ackley", np.zeros(3))
         assert abs(fn.evaluate([0.0, 0.0, 0.0])) <= 1e-9
         assert fn.evaluate([10.0, -10.0, 10.0]) > 15.0
 
     def test_rosenbrock_known_points(self):
-        fn = BenchFunction("rosenbrock", "rosenbrock", "fully-nonseparable", 2, np.zeros(2))
+        fn = BenchFunction("rosenbrock", np.zeros(2))
         assert fn.evaluate([0.0, 0.0]) == 0.0
         # shifted base coordinates (2, 2): 100*(2-4)^2 + (1-2)^2
         assert fn.evaluate([1.0, 1.0]) == 401.0
 
     def test_schwefel12_double_sum(self):
-        fn = BenchFunction("schwefel12", "schwefel12", "fully-nonseparable", 2, np.zeros(2))
+        fn = BenchFunction("schwefel12", np.zeros(2))
         assert fn.evaluate([1.0, 1.0]) == 5.0
 
     def test_out_of_box_rejected(self):
@@ -143,14 +166,12 @@ class TestValues:
 
     def test_identity_rotation_degeneracy(self):
         grouped = make_function("elliptic-group", 8, 6)
-        identity = BenchFunction("elliptic-group", "elliptic",
-                                 grouped.category, 8, grouped.shift,
+        identity = BenchFunction("elliptic-group", grouped.shift,
                                  rot_idx=grouped.rot_idx,
                                  rot=np.broadcast_to(np.eye(grouped.rot.shape[1]),
                                                      grouped.rot.shape),
                                  seed=6)
-        plain = BenchFunction("elliptic", "elliptic", "separable-unimodal", 8,
-                              grouped.shift)
+        plain = BenchFunction("elliptic", grouped.shift)
         rng = np.random.default_rng(31)
         for _ in range(20):
             x = rng.uniform(BOX_LOW, BOX_HIGH, size=8)
@@ -209,8 +230,7 @@ class TestReferenceOracle:
         m = group_size(12)
         assert fn.rot_idx.shape == (12 // m, m)
         assert fn.rot.shape == (12 // m, m, m)
-        again = BenchFunction(fn.name, fn.base, fn.category, 12, fn.shift,
-                              rot_idx=fn.rot_idx, rot=fn.rot, seed=4)
+        again = BenchFunction(fn.name, fn.shift, rot_idx=fn.rot_idx, rot=fn.rot, seed=4)
         assert again.rot_idx is fn.rot_idx and again.rot is fn.rot
         sphere = make_function("sphere", 12, 4)
         assert sphere.rot_idx is None and sphere.rot is None
@@ -224,8 +244,7 @@ class TestReferenceOracle:
         (np.array([[0, 1], [2, 3]]), np.stack([np.eye(2)] * 3))])
     def test_mismatched_rotation_stacks_rejected(self, rot_idx, rot):
         with pytest.raises(ValueError):
-            BenchFunction("g", "sphere", "partially-separable(2)", 5, np.zeros(5),
-                          rot_idx=rot_idx, rot=rot)
+            BenchFunction("rastrigin-group", np.zeros(5), rot_idx=rot_idx, rot=rot)
 
 
 GROUPED = ("elliptic-group", "rastrigin-group")

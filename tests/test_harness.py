@@ -27,8 +27,9 @@ from mcdopt.harness import (
     run_grid,
     run_single,
     tally_wtl,
+    validate_config,
 )
-from mcdopt.benchfns import make_function
+from mcdopt.benchfns import SUITE_NAMES, make_function
 
 from helpers import output_digest
 
@@ -223,7 +224,7 @@ class TestResolvers:
     def test_grid_cells_in_run_order(self):
         config = ExperimentConfig(algorithms=["mcd", "de"], dim=4, max_nfe=100,
                                   functions=["sphere", "ackley"], repeats=2, base_seed=7)
-        assert grid_cells(config) == [
+        assert grid_cells(validate_config(config)) == [
             ("de", "ackley", 7), ("de", "ackley", 8), ("de", "sphere", 7), ("de", "sphere", 8),
             ("mcd", "ackley", 7), ("mcd", "ackley", 8), ("mcd", "sphere", 7),
             ("mcd", "sphere", 8)]
@@ -252,6 +253,17 @@ class TestResolvers:
         config = ExperimentConfig(algorithms=["de"], dim=4, max_nfe=100,
                                   trace_grid=[10, 100])
         assert resolve_trace_grid(config) == [10, 100]
+
+    def test_validate_config_returns_the_resolved_grid(self):
+        config = ExperimentConfig(algorithms=["mcd", "de"], dim=4, max_nfe=250)
+        resolved = validate_config(config)
+        assert resolved.algorithms == ["de", "mcd"]
+        assert resolved.functions == sorted(SUITE_NAMES)
+        assert resolved.trace_grid == list(range(2, 251, 2))
+        # the config as written is left alone, and a resolved grid resolves to itself
+        assert (config.algorithms, config.functions, config.trace_grid) == \
+            (["mcd", "de"], ["all"], [])
+        assert validate_config(resolved) == resolved
 
 
 def _cell_config(algorithm, dim, max_nfe, max_iter=3, **fields):
@@ -297,6 +309,14 @@ class TestRunSingle:
         fn = make_function("sphere", 2, 5)
         with pytest.raises(ConfigError):
             run_single("annealing", fn, 0, _cell_config("de", 2, 60))
+
+    def test_objective_without_optimum_rejected_before_spending(self):
+        calls = []
+        obj = Objective(lambda p: calls.append(1) or float(p @ p),
+                        Box([-1.0, -1.0], [1.0, 1.0]))
+        with pytest.raises(ConfigError, match="optimum_value"):
+            run_single("de", obj, 0, _cell_config("de", 2, 60))
+        assert calls == []
 
 
 def _mini_config(out_dir):
@@ -395,6 +415,31 @@ class TestRunGrid:
         _write(out / "results.csv", header + "".join(reversed(rows)))
         report_from_dir(str(out))
         assert _collect_outputs(out)["summary.json"] == before["summary.json"]
+
+    def test_unresolved_and_resolved_configs_run_the_same_grid(self, tmp_path):
+        config = _mini_config(tmp_path / "written")
+        config.algorithms = ["mcd", "de"]
+        config.functions = ["all"]
+        resolved = validate_config(config)
+        resolved.output_dir = str(tmp_path / "resolved")
+        run_grid(config)
+        run_grid(resolved)
+        assert output_digest(config.output_dir) == output_digest(resolved.output_dir)
+
+    def test_report_resolves_a_hand_edited_meta(self, tmp_path):
+        out = tmp_path / "out"
+        config = _mini_config(out)
+        config.algorithms = ["mcd", "de"]
+        config.functions = ["all"]
+        run_grid(config)
+        before = _read_bytes(out / "summary.json")
+        meta = json.loads(_read_bytes(out / "meta.json"))
+        assert meta["algorithms"] == ["de", "mcd"] and len(meta["functions"]) == 8
+        meta.update(algorithms=["mcd", "de"], functions=["all"], trace_grid=[])
+        _write(out / "meta.json", json.dumps(meta))
+        os.remove(out / "summary.json")
+        report_from_dir(str(out))
+        assert _read_bytes(out / "summary.json") == before
 
     def test_rerun_is_byte_identical(self, tmp_path):
         run_grid(_mini_config(tmp_path / "one"))
@@ -802,6 +847,21 @@ class TestCli:
         assert self.DAMAGE_MESSAGES.get(damage, "") in err
         assert not (out / "summary.json").exists()
         assert not list((out / "plots").glob("*.svg"))
+
+    def test_report_that_cannot_write_a_chart_leaves_no_summary(self, tmp_path, capsys):
+        config = _mini_config(tmp_path / "out")
+        config.algorithms = ["de"]
+        run_grid(config)
+        out = tmp_path / "out"
+        before = _collect_outputs(out)
+        shutil.rmtree(out / "plots")
+        _write(out / "plots", "not a directory\n")
+        assert cli.main(["report", "--in", str(out)]) == 2
+        assert "file error" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+        os.remove(out / "plots")
+        assert cli.main(["report", "--in", str(out)]) == 0
+        assert _collect_outputs(out) == before
 
     def test_report_on_traces_whose_mean_overflows(self, tmp_path, capsys):
         # each trace keeps the trace contract, but their first values
