@@ -94,6 +94,14 @@ class BenchFunction:
             if not (np.ndim(rot_idx) == 2 and np.shape(rot)
                     == np.shape(rot_idx) + np.shape(rot_idx)[1:]):
                 raise ValueError(f"'{name}' needs (groups, m) rot_idx and (groups, m, m) rot")
+            # an index out of range would fail only at the first evaluation,
+            # and a repeated one would join groups that evaluate rotates apart
+            rot_idx = np.asarray(rot_idx)
+            if not (np.issubdtype(rot_idx.dtype, np.integer)
+                    and ((0 <= rot_idx) & (rot_idx < shift.size)).all()
+                    and len(set(rot_idx.flat)) == rot_idx.size):
+                raise ValueError(f"'{name}' needs rot_idx to hold distinct integer "
+                                 f"indices in [0, {shift.size})")
             category = f"partially-separable({rot_idx.shape[1]})"
         elif rot_idx is not None or rot is not None:
             raise ValueError(f"'{name}' is not rotated: rot_idx and rot must be None")

@@ -27,12 +27,13 @@ import contextlib
 import glob
 import json
 import math
+import operator
 import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import repeat
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -121,22 +122,6 @@ def tally_wtl(errors_mcd, errors_baseline, tie_epsilon: float = 0.0) -> tuple[in
         else:
             losses += 1
     return wins, ties, losses
-
-
-def densify_trace(trace, grid) -> list[Optional[float]]:
-    """Carry the best value forward onto fixed evaluation checkpoints.
-
-    Checkpoints that precede the first recorded improvement get None.
-    """
-    out = []
-    position = 0
-    current: Optional[float] = None
-    for checkpoint in grid:
-        while position < len(trace) and trace[position][0] <= checkpoint:
-            current = trace[position][1]
-            position += 1
-        out.append(current)
-    return out
 
 
 @dataclass
@@ -419,7 +404,7 @@ def _read_results(out_dir: str, config: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _read_trace(out_dir: str, row: dict) -> list[tuple[int, float]]:
+def _read_trace(out_dir: str, row: dict) -> tuple[list[int], list[float]]:
     """The improvement trace of one results row, held to the evaluator's trace
     contract: counts from 1 strictly rising to at most the row's used_nfe, and
     finite values strictly falling to the row's final_error (every suite
@@ -442,19 +427,20 @@ def _read_trace(out_dir: str, row: dict) -> list[tuple[int, float]]:
         fields = ",".join(lines).split(",") if lines else []
         counts = fields[0::2]
         nfes = list(map(int, counts))
-        trace = list(zip(nfes, map(float, fields[1::2])))
+        values = list(map(float, fields[1::2]))
         if list(map(str, nfes)) != counts:
             raise ValueError
     except ValueError:
         raise ConfigError(f"{path}: cannot parse trace rows") from None
-    if not all(math.isfinite(value) for _, value in trace):
+    if not all(map(math.isfinite, values)):
         raise ConfigError(f"{path}: trace values must be finite")
-    if not (trace and trace[0][0] == 1 and trace[-1][0] <= row["used_nfe"]
-            and trace[-1][1] == row["final_error"]
-            and all(n < m and v > w for (n, v), (m, w) in zip(trace, trace[1:]))):
+    if not (nfes and nfes[0] == 1 and nfes[-1] <= row["used_nfe"]
+            and values[-1] == row["final_error"]
+            and all(map(operator.lt, nfes, nfes[1:]))
+            and all(map(operator.gt, values, values[1:]))):
         raise ConfigError(f"{path}: a trace must rise in nfe from 1 to at most used_nfe "
                           "and fall in value to final_error")
-    return trace
+    return nfes, values
 
 
 def _json_is(value, kind) -> bool:
@@ -484,24 +470,33 @@ def _read_meta(out_dir: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _checkpoint_means(dense) -> list[float]:
-    """The mean over repeats at each checkpoint of equal-length dense traces,
-    bit for bit `float(np.mean(column))` of each column, in one reduction.
+def _mean_trace(traces, grid) -> list[float]:
+    """The mean over repeats of the traces' values at each checkpoint, bit for
+    bit `float(np.mean(...))` of each checkpoint's values, in one reduction.
 
-    The reduced axis is the contiguous last one: numpy sums each row of it
-    pairwise, as it sums one column alone. Reduced along the other axis,
-    numpy adds the rows one at a time, which rounds differently from eight
-    repeats up.
+    A trace's value at a checkpoint is its last improvement at or before it;
+    every trace starts at nfe 1 and every checkpoint is at least 1, so there
+    is always one. The repeats lie along the contiguous last axis: numpy sums
+    each row of it pairwise, as it sums one checkpoint's values alone.
+    Reduced along the other axis, numpy adds the rows one at a time, which
+    rounds differently from eight repeats up.
     """
-    return np.mean(np.ascontiguousarray(np.array(dense, dtype=float).T), axis=1).tolist()
+    dense = np.empty((len(grid), len(traces)))
+    for j, (nfes, values) in enumerate(traces):
+        dense[:, j] = np.take(values, np.searchsorted(nfes, grid, side="right") - 1)
+    return np.mean(dense, axis=1).tolist()
 
 
 @np.errstate(over="ignore")  # an overflowing mean is a ConfigError, not a warning
 def report_from_dir(out_dir: str) -> ExperimentReport:
     """Build summary.json and the per-function charts from the files in
-    `out_dir`, returning the aggregate report. Every input is read and checked
-    against the config in meta.json before the first file is written, and
-    summary.json is written last."""
+    `out_dir`, returning the aggregate report. summary.json is removed first
+    and written last, so a summary.json on disk means that a report finished;
+    every input is read and checked against the config in meta.json before
+    the first chart is written."""
+    summary_path = os.path.join(out_dir, "summary.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(summary_path)
     config = _read_meta(out_dir)
     rows = _read_results(out_dir, config)
     algorithms, functions, grid = config.algorithms, config.functions, config.trace_grid
@@ -552,29 +547,22 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
                "max_nfe": config.max_nfe, "repeats": config.repeats, "runs": len(rows),
                "aggregate": aggregate, "wtl": wtl}
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    # read and check every trace before the first write, so a damaged
-    # directory gets no summary.json and no chart
+    # read and check every trace before the first chart, so a damaged
+    # directory gets none
     charts = {}
     for name in functions:
         series = []
         for algorithm in algorithms:
-            # every trace starts at nfe 1 and every checkpoint is at least 1,
-            # so each dense trace has a value at every checkpoint
-            dense = [densify_trace(_read_trace(out_dir, row), grid)
-                     for row in sorted(buckets[algorithm, name], key=lambda row: row["seed"])]
+            traces = [_read_trace(out_dir, row)
+                      for row in sorted(buckets[algorithm, name], key=lambda row: row["seed"])]
             points = [(float(checkpoint), mean)
-                      for checkpoint, mean in zip(grid, _checkpoint_means(dense))]
+                      for checkpoint, mean in zip(grid, _mean_trace(traces, grid))]
             if not all(math.isfinite(value) for _, value in points):
                 raise ConfigError(f"{out_dir}: the mean trace of {algorithm} on "
                                   f"{name} is not finite")
             series.append((algorithm, ALGORITHM_COLORS[algorithm], points))
         charts[name] = convergence_svg(f"{name} (dim {config.dim})", series)
 
-    # summary.json goes first and comes back last, so a summary.json on disk
-    # means that a report finished
-    summary_path = os.path.join(out_dir, "summary.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(summary_path)
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)
     plot_paths = [os.path.join(out_dir, "plots", f"{name}.svg") for name in charts]
     for path, text in zip(plot_paths, charts.values()):

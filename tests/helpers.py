@@ -204,6 +204,13 @@ def reference_generation(population, coords, context, cfg, ev, rng):
     return True
 
 
+def densify(nfes, values, grid):
+    """A trace's value at each checkpoint: the last of its values whose count
+    is at or before the checkpoint (every trace starts at count 1)."""
+    return [[value for nfe, value in zip(nfes, values) if nfe <= checkpoint][-1]
+            for checkpoint in grid]
+
+
 def output_digest(out_dir):
     """SHA-256 over results.csv, summary.json, traces/ and plots/ of a grid
     directory, framed as the benchmark's output digest: files in name order,

@@ -246,6 +246,14 @@ class TestReferenceOracle:
         with pytest.raises(ValueError):
             BenchFunction("rastrigin-group", np.zeros(5), rot_idx=rot_idx, rot=rot)
 
+    @pytest.mark.parametrize("rot_idx", [
+        [[0, 9]], [[-1, 0]], [[0, 4]], [[0, 0]], [[0, 1], [1, 2]],
+        np.array([[0.0, 1.0]]), np.array([[True, False]])])
+    def test_rotation_indices_must_be_distinct_integers_in_range(self, rot_idx):
+        with pytest.raises(ValueError, match="distinct integer indices in \\[0, 4\\)"):
+            BenchFunction("rastrigin-group", np.zeros(4), rot_idx,
+                          np.broadcast_to(np.eye(2), (len(rot_idx), 2, 2)))
+
 
 GROUPED = ("elliptic-group", "rastrigin-group")
 

@@ -18,7 +18,6 @@ from mcdopt.harness import (
     LengthMismatch,
     RESULT_COLUMNS,
     compute_iar,
-    densify_trace,
     grid_cells,
     parse_config_text,
     report_from_dir,
@@ -31,7 +30,7 @@ from mcdopt.harness import (
 )
 from mcdopt.benchfns import SUITE_NAMES, make_function
 
-from helpers import output_digest
+from helpers import densify, output_digest
 
 
 class TestComputeIar:
@@ -75,28 +74,32 @@ class TestTallyWtl:
             tally_wtl([1.0], [1.0, 2.0])
 
 
-class TestDensifyTrace:
+class TestMeanTrace:
     def test_carry_forward(self):
-        trace = [(3, 9.0), (7, 4.0)]
-        assert densify_trace(trace, [2, 4, 6, 8]) == [None, 9.0, 9.0, 4.0]
+        # a checkpoint between two improvements, one exactly on an
+        # improvement, and one after the last improvement
+        traces = [([1, 3, 7], [20.0, 9.0, 4.0])]
+        assert harness._mean_trace(traces, [2, 3, 5, 7, 8]) == [20.0, 9.0, 9.0, 4.0, 4.0]
 
-    def test_checkpoint_on_improvement(self):
-        trace = [(5, 1.0)]
-        assert densify_trace(trace, [5]) == [1.0]
+    def test_repeats_improve_at_their_own_counts(self):
+        traces = [([1, 3], [8.0, 2.0]), ([1, 2, 5], [6.0, 4.0, 0.0])]
+        assert harness._mean_trace(traces, [1, 2, 3, 5]) == [7.0, 6.0, 3.0, 1.0]
 
-    def test_empty_trace(self):
-        assert densify_trace([], [1, 2]) == [None, None]
-
-
-class TestCheckpointMeans:
     @pytest.mark.parametrize("repeats", list(range(1, 21)) + [64, 129])
-    def test_equals_the_mean_of_each_column_bit_for_bit(self, repeats):
+    def test_equals_the_mean_of_each_checkpoint_bit_for_bit(self, repeats):
         # lognormal values over many orders of magnitude, so the order of
         # the additions shows in the last bits
         rng = np.random.default_rng(repeats)
-        dense = rng.lognormal(0.0, 10.0, size=(repeats, 101)).tolist()
+        grid = list(range(10, 1001, 10))
+        traces = []
+        for _ in range(repeats):
+            count = int(rng.integers(1, 200))
+            later = rng.choice(np.arange(2, 1001), size=count - 1, replace=False)
+            values = -np.sort(-rng.lognormal(0.0, 10.0, size=count))
+            traces.append(([1] + sorted(later.tolist()), values.tolist()))
+        dense = [densify(nfes, values, grid) for nfes, values in traces]
         expected = [float(np.mean(column)) for column in zip(*dense)]
-        means = harness._checkpoint_means(dense)
+        means = harness._mean_trace(traces, grid)
         assert all(type(mean) is float for mean in means)
         assert [m.hex() for m in means] == [e.hex() for e in expected]
 
@@ -657,8 +660,8 @@ class TestCli:
         results = out / "results.csv"
         trace = out / "traces" / "de__sphere__seed11.csv"
         meta = out / "meta.json"
-        # a failed report must leave none of the files it derives
-        os.remove(out / "summary.json")
+        # a failed report must leave none of the files it derives: it removes
+        # summary.json itself, and writes no chart
         for chart in (out / "plots").glob("*.svg"):
             os.remove(chart)
         if damage == "missing trace":
@@ -863,6 +866,20 @@ class TestCli:
         assert cli.main(["report", "--in", str(out)]) == 0
         assert _collect_outputs(out) == before
 
+    def test_failed_report_removes_the_summary_of_an_earlier_one(self, tmp_path, capsys):
+        config = _mini_config(tmp_path / "out")
+        config.algorithms = ["mcd", "de"]
+        config.functions = ["sphere", "ackley"]
+        run_grid(config)
+        out = tmp_path / "out"
+        assert cli.main(["report", "--in", str(out)]) == 0
+        assert (out / "summary.json").is_file()
+        trace = out / "traces" / "de__sphere__seed11.csv"
+        _write(trace, _read_bytes(trace).decode() + "500,0.5\n")
+        assert cli.main(["report", "--in", str(out)]) == 2
+        assert "a trace must rise in nfe" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_report_on_traces_whose_mean_overflows(self, tmp_path, capsys):
         # each trace keeps the trace contract, but their first values
         # overflow their mean at the first checkpoint
@@ -871,7 +888,6 @@ class TestCli:
         config.functions = ["sphere"]
         run_grid(config)
         out = tmp_path / "out"
-        os.remove(out / "summary.json")
         shutil.rmtree(out / "plots")
         for seed in (11, 12):
             path = out / "traces" / f"de__sphere__seed{seed}.csv"
