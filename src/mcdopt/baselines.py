@@ -13,11 +13,14 @@ with the same values and the same final generator state as the method
 calls. A generation where numpy would redraw a Lemire rejection (below
 size / 2**32 per bounded draw), like every generation on any other
 generator, is drawn trial by trial through the generator's methods. It then
-builds every trial row in one pass from the start-of-generation population,
-and only a trial whose donors were replaced earlier in the generation builds
-its own again. Since the draws are taken per generation, an OutOfBox or
-NonFiniteValue that escapes a generation leaves any generator further along
-than trial-by-trial calls would.
+builds every trial point in one pass from the start-of-generation population.
+On a pure objective it evaluates the funded points in one uncharged wave and
+commits each trial's value in trial order; at the first trial whose donors
+were replaced since, every later point with a replaced donor is built again
+and evaluated in one more wave. Any other objective is called on each point
+just before it is charged. Since the draws are taken per generation, an
+OutOfBox or NonFiniteValue that escapes a generation leaves any generator
+further along than trial-by-trial calls would.
 """
 
 from __future__ import annotations
@@ -248,15 +251,17 @@ def _pcg64_draws(rng: np.random.Generator, n: int, k: int, trials: int,
     return donors, scales, masks
 
 
-def _trial_rows(subs, r1, r2, r3, scale, keep, target, lo, hi):
-    """rand/1/bin trial coordinates: the mutant `subs[r1] + scale * (subs[r2]
-    - subs[r3])`, with the target's coordinates where `keep` is set, clamped
-    to [lo, hi]. Takes one trial (integer donors) or many (donor arrays, one
-    row of `scale`, `keep` and `target` each) and returns a new array."""
-    rows = subs[r2] - subs[r3]
-    rows *= scale
-    rows += subs[r1]
-    np.copyto(rows, target, where=keep)
+def _trial_rows(subs, donors, scales, keep, targets, lo, hi):
+    """rand/1/bin trial coordinates, one row per trial: the mutant `subs[r1] +
+    scale * (subs[r2] - subs[r3])` of the trial's donors (r1, r2, r3), with
+    the target's coordinates where `keep` is set, clamped to [lo, hi]. Takes
+    the donor rows with `take`; returns a new array."""
+    r1, r2, r3 = donors.T
+    rows = subs.take(r2, axis=0)
+    rows -= subs.take(r3, axis=0)
+    rows *= scales[:, None]
+    rows += subs.take(r1, axis=0)
+    np.copyto(rows, targets, where=keep)
     np.maximum(rows, lo, out=rows)
     np.minimum(rows, hi, out=rows)
     return rows
@@ -278,9 +283,13 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
     The draws of the trials that draw (those up to and including the one
     that meets BudgetExhausted) are taken before the first trial: decoded
     on a numpy Generator on PCG64, else from the generator's methods. Their
-    trial rows are then built in one pass from the start-of-generation
-    population; a trial whose donors were replaced earlier in the generation
-    builds its own row from the current ones instead.
+    trial points are then built in one pass from the start-of-generation
+    population. On a pure objective the points the budget funds are
+    evaluated uncharged in one wave, and each trial commits its value in
+    order. At the first trial with a donor replaced since the points were
+    built, every later point with such a donor is rebuilt from the current
+    population and, on a pure objective, evaluated in one more wave. Any
+    other objective is called on each point just before it is charged.
     """
     box = ev.objective.box
     n = len(population)
@@ -288,6 +297,7 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
     lo = box.lower[coords]
     hi = box.upper[coords]
     trials = min(n, ev.remaining + 1)
+    funded = min(trials, ev.remaining)
     draws = _pcg64_draws(rng, n, k, trials, cfg)
     if draws is None:
         draws = _method_draws(rng, n, k, trials, cfg)
@@ -296,29 +306,41 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
     # row i holds population[i].position[coords], kept current on replacement
     subs = np.array([c.position for c in population])[:, coords]
     # target row i cannot change before trial i, so only a replaced donor
-    # makes a precomputed row stale
-    rows = _trial_rows(subs, *donors.T, scales[:, None], keep, subs[:trials], lo, hi)
-    replaced = [False] * n
-    for i, (r1, r2, r3) in enumerate(donors.tolist()):
-        if replaced[r1] or replaced[r2] or replaced[r3]:
-            sub = _trial_rows(subs, r1, r2, r3, scales[i], keep[i], subs[i], lo, hi)
-        else:
-            sub = rows[i]
-        if context is None:
-            point = sub
-        else:
-            point = context.copy()
-            point[coords] = sub
+    # makes a row stale
+    rows = _trial_rows(subs, donors, scales, keep, subs[:trials], lo, hi)
+    if context is None:
+        points = rows
+    else:
+        points = np.tile(context, (trials, 1))
+        points[:, coords] = rows
+    pure = getattr(ev.objective, "pure", False)
+    # values[i] is the objective at points[i], uncharged until trial i commits it
+    values = ev.speculate(points[:funded]) if pure and funded else []
+    dirty = [False] * n  # replaced since the rows were last built
+    triples = donors.tolist()
+    for i, (r1, r2, r3) in enumerate(triples):
+        if i < funded and (dirty[r1] or dirty[r2] or dirty[r3]):
+            stale = np.array([j for j, (d1, d2, d3) in enumerate(triples[i:funded], i)
+                              if dirty[d1] or dirty[d2] or dirty[d3]])
+            fresh = _trial_rows(subs, donors.take(stale, axis=0), scales.take(stale),
+                                keep.take(stale, axis=0), subs.take(stale, axis=0), lo, hi)
+            rows[stale] = fresh
+            if context is not None:
+                points[stale[:, None], coords] = fresh
+            if pure:
+                block = fresh if context is None else points.take(stale, axis=0)
+                for j, value in zip(stale.tolist(), ev.speculate(block)):
+                    values[j] = value
+            dirty = [False] * n
+        point = points[i]
         try:
-            value = ev.evaluate(point)
+            value = ev.commit(point, values[i]) if i < len(values) else ev.evaluate(point)
         except BudgetExhausted:
             return False
         if value <= population[i].value:
-            if point.base is rows:
-                point = point.copy()  # hold no view of the generation's rows
-            population[i] = Candidate(point, value)
-            subs[i] = sub
-            replaced[i] = True
+            population[i] = Candidate(point.copy(), value)
+            subs[i] = rows[i]
+            dirty[i] = True
     return True
 
 

@@ -89,6 +89,9 @@ class BenchFunction:
     # evaluate() and evaluate_batch() reject out-of-box positions themselves,
     # so BudgetedEvaluator does not check them a second time
     checks_bounds = True
+    # a value depends on the position alone and an evaluation changes
+    # nothing, so BudgetedEvaluator may evaluate rows it never charges
+    pure = True
 
     def __init__(self, name: str, shift, rot_idx=None, rot=None, seed: int = 0):
         if name not in _SPECS:

@@ -6,7 +6,10 @@ exactly one place; the run's result hands over the evaluator's best
 candidate and improvement trace. Bounds are checked once per evaluation: by
 `BudgetedEvaluator`, or by the objective's own `evaluate` (and
 `evaluate_batch`) when its class sets `checks_bounds = True` (as
-`BenchFunction` does).
+`BenchFunction` does). An objective whose class sets `pure = True` (as
+`BenchFunction` does) may also be evaluated ahead of charging: the evaluator
+returns a block's values uncharged, and each row counts only when it is
+committed.
 """
 
 from __future__ import annotations
@@ -115,7 +118,10 @@ class Objective:
     to build one from a function. An objective may also offer
     `evaluate_batch(positions)`: one value per row of an `(n, dim)` block,
     each with the bits of `evaluate(row)` and under the same bounds and NaN
-    rules; `BudgetedEvaluator.evaluate_batch` uses it when it is there.
+    rules; `BudgetedEvaluator.evaluate_batch` uses it when it is there. A
+    class that sets `pure = True` promises that a value depends on the
+    position alone and that an evaluation changes nothing else, so that
+    `BudgetedEvaluator.speculate` may evaluate rows it never charges.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], box: Box,
@@ -152,6 +158,10 @@ class BudgetedEvaluator:
     best and trace are rebuilt in that sequential order once every lane is
     full. Between `plan_lanes` and that point the budget is spent through
     `evaluate_batch` only.
+
+    `speculate` evaluates a pure objective's block without charging it, and
+    `commit` charges one row with its value under the rules of `evaluate`,
+    which is itself an objective call followed by a commit.
     """
 
     def __init__(self, objective, max_nfe: int):
@@ -168,7 +178,9 @@ class BudgetedEvaluator:
         self.used_nfe = 0
         self.best: Optional[Candidate] = None
         self.trace: list[tuple[int, float]] = []
+        self.speculated = 0
         self._check_bounds = not getattr(objective, "checks_bounds", False)
+        self._pure = getattr(objective, "pure", False)
         self._batch = getattr(objective, "evaluate_batch", None)
         self._lanes: Optional[_Lanes] = None
 
@@ -177,17 +189,45 @@ class BudgetedEvaluator:
         return self.max_nfe - self.used_nfe
 
     def evaluate(self, position) -> float:
+        # checked before the objective is called, so that an evaluation the
+        # budget cannot fund never reaches it
         if self.used_nfe >= self.max_nfe:
             raise BudgetExhausted(f"evaluation budget of {self.max_nfe} already spent")
         p = np.asarray(position, dtype=float)
         if self._check_bounds and not self.objective.box.contains(p):
             raise OutOfBox("position lies outside the objective bounds")
-        value = float(self.objective.evaluate(p))
+        return self.commit(p, float(self.objective.evaluate(p)))
+
+    def speculate(self, positions) -> list[float]:
+        """Evaluate an `(n, dim)` block of positions without charging any of
+        it, in one `evaluate_batch` call (row by row when the objective has
+        none); returns their values as floats.
+
+        Only a pure objective (one whose class sets `pure = True`) is
+        evaluated uncharged, so a row that is never committed changes nothing
+        but `speculated`, the count of rows evaluated this way. The block
+        passes `evaluate_batch`'s shape and bounds check; a NaN value is
+        returned as it is, for `commit` to refuse.
+        """
+        if not self._pure:
+            raise ValueError("only a pure objective is evaluated uncharged")
+        p = self._block(positions)
+        values = self._values(p)
+        self.speculated += len(p)
+        return values
+
+    def commit(self, position, value: float) -> float:
+        """Charge one evaluation of `position` that gave `value`, with the
+        budget, NaN, `best` and trace rules of `evaluate`; `best` keeps a
+        copy of the position. A commit past the budget raises BudgetExhausted
+        and a NaN value NonFiniteValue, and neither is charged."""
+        if self.used_nfe >= self.max_nfe:
+            raise BudgetExhausted(f"evaluation budget of {self.max_nfe} already spent")
         if math.isnan(value):
             raise NonFiniteValue("objective returned NaN")
         self.used_nfe += 1
         if self.best is None or value < self.best.value:
-            self.best = Candidate(p.copy(), value)
+            self.best = Candidate(np.array(position, dtype=float), value)
             self.trace.append((self.used_nfe, value))
         return value
 
@@ -216,9 +256,7 @@ class BudgetedEvaluator:
         budget BudgetExhausted, and then no row of the block is charged. An
         objective without `evaluate_batch` has its rows evaluated one by one.
         """
-        p = np.asarray(positions, dtype=float)
-        if p.ndim != 2 or not len(p) or p.shape[1] != self.objective.dim:
-            raise OutOfBox(f"positions must be an (n, {self.objective.dim}) block, n >= 1")
+        p = self._block(positions)
         n = len(p)
         lanes = self._lanes
         if lanes is None:
@@ -231,16 +269,7 @@ class BudgetedEvaluator:
             raise ValueError(f"a block must give each of {lanes.count} lanes the same rows")
         if lanes.filled + rows > lanes.length:
             raise BudgetExhausted(f"lanes of {lanes.length} evaluations already filled")
-        if self._check_bounds and not ((p >= self.objective.box.lower).all()
-                                       and (p <= self.objective.box.upper).all()):
-            raise OutOfBox("a position lies outside the objective bounds")
-        if self._batch is None:
-            values = [float(self.objective.evaluate(row)) for row in p]
-        else:
-            values = np.asarray(self._batch(p), dtype=float)
-            if values.shape != (n,):
-                raise ValueError(f"evaluate_batch returned shape {values.shape} for {n} rows")
-            values = values.tolist()
+        values = self._values(p)
         if any(map(math.isnan, values)):
             raise NonFiniteValue("objective returned NaN")
         lanes.record(p, values, rows)
@@ -256,6 +285,28 @@ class BudgetedEvaluator:
                     self.trace += trace
                     self.best = best
         return values
+
+    def _block(self, positions) -> np.ndarray:
+        """`positions` as an `(n, dim)` float block, n >= 1, with every row in
+        the box; anything else raises OutOfBox. An objective that checks its
+        own bounds checks the rows when it is called."""
+        p = np.asarray(positions, dtype=float)
+        if p.ndim != 2 or not len(p) or p.shape[1] != self.objective.dim:
+            raise OutOfBox(f"positions must be an (n, {self.objective.dim}) block, n >= 1")
+        if self._check_bounds and not ((p >= self.objective.box.lower).all()
+                                       and (p <= self.objective.box.upper).all()):
+            raise OutOfBox("a position lies outside the objective bounds")
+        return p
+
+    def _values(self, p: np.ndarray) -> list[float]:
+        """The objective's values of a checked block as floats, from one
+        `evaluate_batch` call or else row by row."""
+        if self._batch is None:
+            return [float(self.objective.evaluate(row)) for row in p]
+        values = np.asarray(self._batch(p), dtype=float)
+        if values.shape != (len(p),):
+            raise ValueError(f"evaluate_batch returned shape {values.shape} for {len(p)} rows")
+        return values.tolist()
 
 
 class _Lanes:

@@ -357,3 +357,29 @@ class Recorder:
         p = np.array(position, dtype=float, copy=True)
         self.calls.append(p)
         return self.inner.evaluate(p)
+
+
+class PureBatched:
+    """A pure objective over `inner` that offers evaluate_batch as a loop over
+    its rows; counts the rows handed to each entry."""
+
+    pure = True
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.box = inner.box
+        self.optimum_value = getattr(inner, "optimum_value", None)
+        self.evaluated = 0
+        self.batched = 0
+
+    @property
+    def dim(self):
+        return self.box.dim
+
+    def evaluate(self, position):
+        self.evaluated += 1
+        return self.inner.evaluate(position)
+
+    def evaluate_batch(self, positions):
+        self.batched += len(positions)
+        return np.array([float(self.inner.evaluate(row)) for row in positions])

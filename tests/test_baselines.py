@@ -27,11 +27,15 @@ from mcdopt.core import (
     BudgetedEvaluator,
     Candidate,
     InsufficientBudget,
+    NonFiniteValue,
     Objective,
     named_stream,
 )
 
+from mcdopt.benchfns import make_function
+
 from helpers import (
+    PureBatched,
     Recorder,
     ScriptedRNG,
     chunked_by_delta,
@@ -562,24 +566,41 @@ def _mostly_accepting(dim):
     return Objective(fn, Box(np.full(dim, -5.0), np.full(dim, 5.0)))
 
 
+def _plateau(dim):
+    """A pure objective with two levels, 1 where the mean square coordinate
+    is 15 or more and 0 below, so that most trials tie with or beat their
+    targets and later trials draw on replaced donors."""
+    return PureBatched(Objective(lambda x: float(x @ x >= 15.0 * dim),
+                                 Box(np.full(dim, -5.0), np.full(dim, 5.0))))
+
+
+def _reference_objective(objective, dim):
+    if objective == "mostly accepting":
+        return _mostly_accepting(dim)
+    if objective == "pure plateau":
+        return _plateau(dim)
+    if objective == "suite":
+        return make_function("rastrigin-group", dim, dim)
+    obj = sphere_objective(dim, low=-5.0, high=5.0, shift=np.linspace(-2.0, 3.0, dim))
+    return PureBatched(obj) if objective == "pure sphere" else obj
+
+
 class TestReferenceGeneration:
     @pytest.mark.parametrize("n, dim, k", [
         (4, 3, 3), (5, 6, 2), (12, 10, 10), (12, 10, 1), (50, 100, 100), (50, 100, 10)])
-    @pytest.mark.parametrize("objective", ["sphere", "mostly accepting"])
+    @pytest.mark.parametrize("objective", [
+        "sphere", "mostly accepting", "pure sphere", "pure plateau", "suite"])
     @pytest.mark.parametrize("method_calls", [False, True])
     def test_generations_equal_the_reference(self, n, dim, k, objective, method_calls):
         # k == dim is plain DE; otherwise a CC context supplies the other
         # coordinates. Two whole generations, then the budget cuts the third
-        # at its first, second, middle or last trial, or the fourth.
+        # at its first, second, middle or last trial, or the fourth. The pure
+        # objectives evaluate their trials in waves, the others one by one.
         coords = np.arange(dim) if k == dim else named_stream(dim, "ref").permutation(dim)[:k]
         for remaining in (0, 1, n // 2, n - 1, n + 3):
             outcomes = []
             for generation in (_generation_on, reference_generation):
-                if objective == "sphere":
-                    obj = sphere_objective(dim, low=-5.0, high=5.0,
-                                           shift=np.linspace(-2.0, 3.0, dim))
-                else:
-                    obj = _mostly_accepting(dim)
+                obj = _reference_objective(objective, dim)
                 ev = BudgetedEvaluator(obj, 3 * n + remaining)
                 population = _init_population(n, ev, named_stream(dim, "ref-init"))
                 rng = named_stream(n + k, "ref-gen")
@@ -600,8 +621,88 @@ class TestReferenceGeneration:
                         assert all(c.position.base is None for c in population)
                         for a, b in itertools.combinations(population, 2):
                             assert not np.shares_memory(a.position, b.position)
-                        if objective != "sphere" and len(generations) == 1:
+                        if objective in ("mostly accepting", "pure plateau") \
+                                and len(generations) == 1:
                             assert sum(a is not b for a, b in zip(before, population)) > n / 2
+                if generation is _generation_on:
+                    charged = ev.used_nfe - n
+                    if objective == "pure plateau":
+                        # replaced donors made rows stale, which were built
+                        # and evaluated again
+                        assert ev.speculated > charged
+                    elif objective.startswith("pure"):
+                        # only the initial population is evaluated row by row
+                        assert ev.speculated == obj.batched >= charged
+                        assert obj.evaluated == n
+                    elif objective != "suite":
+                        assert ev.speculated == 0
                 outcomes.append((generations, ev.used_nfe, ev.trace, rng.bit_generator.state))
             assert outcomes[0] == outcomes[1]
             assert len(outcomes[0][0]) == (3 if remaining < n else 4)
+
+
+class TestSpeculativeGeneration:
+    """A pure objective's trials are evaluated in waves before they are
+    charged; nothing else about a generation may show it."""
+
+    @pytest.mark.parametrize("k", [6, 2])
+    def test_a_nan_mid_wave_stops_where_the_reference_does(self, k):
+        # trial t's point gives NaN: the trials before it are charged and
+        # replace their targets, and the generation stops there, as the
+        # trial-by-trial reference does
+        n, dim, t = 12, 6, 6
+        coords = np.arange(dim) if k == dim else np.array([1, 4])
+        cfg = DEConfig(pop_size=n)
+        box = Box(np.full(dim, -5.0), np.full(dim, 5.0))
+        recorder = Recorder(sphere_objective(dim, low=-5.0, high=5.0))
+        ev = BudgetedEvaluator(recorder, 100)
+        population = _init_population(n, ev, named_stream(k, "nan-init"))
+        context = None if k == dim else ev.best.position
+        reference_generation(population, coords, context, cfg, ev,
+                             named_stream(k, "nan-gen"))
+        bad = recorder.calls[n + t].tobytes()
+        outcomes = []
+        for generation in (_generation_on, reference_generation):
+            obj = PureBatched(Objective(
+                lambda x: math.nan if x.tobytes() == bad else float(x @ x), box))
+            ev = BudgetedEvaluator(obj, 100)
+            population = _init_population(n, ev, named_stream(k, "nan-init"))
+            before = list(population)
+            context = None if k == dim else ev.best.position
+            with pytest.raises(NonFiniteValue):
+                generation(population, coords, context, cfg, ev, named_stream(k, "nan-gen"))
+            assert any(a is not b for a, b in zip(before[:t], population[:t]))
+            assert all(a is b for a, b in zip(before[t:], population[t:]))
+            outcomes.append((ev.used_nfe, ev.trace, ev.best.position.tobytes(),
+                             [(c.position.tobytes(), c.value) for c in population]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == n + t
+
+    @pytest.mark.parametrize("run, cfg", [(run_de, DEConfig(pop_size=10)),
+                                          (run_cc, CCConfig(pop_size=10, num_groups=3))])
+    def test_an_impure_objective_is_called_once_per_charged_evaluation(self, run, cfg):
+        recorder = Recorder(sphere_objective(6))
+        assert run(recorder, 137, 3, cfg).used_nfe == len(recorder.calls) == 137
+        # evaluate_batch alone does not make an objective pure
+        unmarked = PureBatched(sphere_objective(6))
+        unmarked.pure = False
+        assert run(unmarked, 137, 3, cfg).used_nfe == unmarked.evaluated == 137
+        assert unmarked.batched == 0
+
+    def test_the_speculated_count_is_the_rows_handed_to_evaluate_batch(self):
+        for generation in ("de", "cc"):
+            obj = PureBatched(make_function("rastrigin", 20, 4))
+            ev = BudgetedEvaluator(obj, 1234)
+            rng = named_stream(4, "gen")
+            if generation == "de":
+                cfg = DEConfig(pop_size=10)
+                population = _init_population(10, ev, named_stream(4, "de-init"))
+                while ev.remaining:
+                    de_generation(population, cfg, ev, rng)
+            else:
+                cfg = CCConfig(pop_size=10, num_groups=4)
+                state = cc_init(cfg, ev, named_stream(4, "cc-init"))
+                while ev.remaining:
+                    cc_cycle(state, cfg, ev, rng)
+            assert obj.evaluated == 10  # the initial population, row by row
+            assert ev.speculated == obj.batched >= ev.used_nfe - 10

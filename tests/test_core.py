@@ -18,8 +18,9 @@ from mcdopt.core import (
 
 from mcdopt import mcd
 from mcdopt.baselines import run_cc, run_de
+from mcdopt.benchfns import make_function
 
-from helpers import Recorder, sphere_objective
+from helpers import PureBatched, Recorder, sphere_objective
 
 
 class TestBox:
@@ -242,7 +243,7 @@ class TestEvaluateBatch:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_unplanned_block_counts_its_rows_in_order(self, batched):
-        obj = sphere_objective(3) if not batched else _Batched(sphere_objective(3))
+        obj = sphere_objective(3) if not batched else PureBatched(sphere_objective(3))
         rng = np.random.default_rng(5)
         rows = rng.uniform(-100.0, 100.0, size=(30, 3))
         ev = BudgetedEvaluator(obj, 40)
@@ -264,7 +265,7 @@ class TestEvaluateBatch:
         rows = int(rng.integers(1, 4))
         blocks_per_lane = int(rng.integers(1, 5))
         length = rows * blocks_per_lane
-        obj = _Batched(sphere_objective(2)) if seed % 2 else sphere_objective(2)
+        obj = PureBatched(sphere_objective(2)) if seed % 2 else sphere_objective(2)
         ev = BudgetedEvaluator(obj, count * length + 7)
         sequential = BudgetedEvaluator(sphere_objective(2), count * length + 7)
         # a few evaluations before the lanes, so they start from a best
@@ -345,7 +346,7 @@ class TestEvaluateBatch:
         assert recorder.calls == [] and ev.used_nfe == 0 and ev.best is None
 
     def test_a_batch_of_the_wrong_length_is_refused(self):
-        obj = _Batched(sphere_objective(1))
+        obj = PureBatched(sphere_objective(1))
         obj.evaluate_batch = lambda positions: [1.0]
         ev = BudgetedEvaluator(obj, 5)
         with pytest.raises(ValueError, match="returned shape"):
@@ -353,17 +354,68 @@ class TestEvaluateBatch:
         assert ev.used_nfe == 0
 
 
-class _Batched:
-    """An objective that offers evaluate_batch as a loop over its rows."""
+class TestSpeculate:
+    """Uncharged evaluation of a pure objective's block, and the commits that
+    charge its rows one by one."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.box = inner.box
-        self.dim = inner.dim
-        self.optimum_value = inner.optimum_value
+    def test_speculated_rows_committed_in_order_equal_evaluate(self):
+        rows = np.random.default_rng(3).uniform(-100.0, 100.0, size=(30, 3))
+        ev = BudgetedEvaluator(PureBatched(sphere_objective(3)), 40)
+        sequential = BudgetedEvaluator(sphere_objective(3), 40)
+        values = ev.speculate(rows)
+        assert all(type(v) is float for v in values)
+        assert ev.speculated == 30
+        assert ev.used_nfe == 0 and ev.best is None and ev.trace == []
+        for row, value in zip(rows, values):
+            assert ev.commit(row, value) == sequential.evaluate(row)
+        assert ev.used_nfe == sequential.used_nfe == 30
+        assert ev.trace == sequential.trace
+        assert ev.best.position.tobytes() == sequential.best.position.tobytes()
+        assert not np.shares_memory(ev.best.position, rows)
 
-    def evaluate(self, position):
-        return self.inner.evaluate(position)
+    def test_a_commit_past_the_budget_charges_nothing(self):
+        ev = BudgetedEvaluator(PureBatched(sphere_objective(1)), 2)
+        rows = [[3.0], [1.0], [0.0]]
+        values = ev.speculate(rows)
+        ev.commit(rows[0], values[0])
+        ev.commit(rows[1], values[1])
+        with pytest.raises(BudgetExhausted):
+            ev.commit(rows[2], values[2])
+        assert ev.used_nfe == 2
+        assert ev.trace == [(1, 9.0), (2, 1.0)] and ev.best.value == 1.0
 
-    def evaluate_batch(self, positions):
-        return np.array([self.inner.evaluate(row) for row in positions])
+    def test_a_nan_is_speculated_but_not_committed(self):
+        values = iter([math.nan, 4.0])
+        ev = BudgetedEvaluator(PureBatched(Objective(lambda p: next(values),
+                                                     Box([-1.0], [1.0]))), 5)
+        speculated = ev.speculate([[0.5], [1.0]])
+        assert math.isnan(speculated[0]) and speculated[1] == 4.0
+        with pytest.raises(NonFiniteValue):
+            ev.commit([0.5], speculated[0])
+        assert ev.used_nfe == 0 and ev.best is None and ev.trace == []
+        assert ev.commit([1.0], speculated[1]) == 4.0
+        assert ev.trace == [(1, 4.0)]
+
+    @pytest.mark.parametrize("block", [
+        [[0.0, 0.0], [2.0, 0.0]], [[0.0, math.nan]], [[0.0, 0.0, 0.0]], [0.0, 0.0],
+        np.zeros((0, 2)), np.zeros((1, 1, 2)), 0.0])
+    def test_an_out_of_box_block_is_refused_before_it_is_called(self, block):
+        obj = PureBatched(sphere_objective(2, low=-1.0, high=1.0))
+        ev = BudgetedEvaluator(obj, 5)
+        with pytest.raises(OutOfBox):
+            ev.speculate(block)
+        assert obj.batched == obj.evaluated == 0
+        assert ev.speculated == ev.used_nfe == 0 and ev.best is None
+
+    def test_a_suite_function_refuses_an_out_of_box_block_itself(self):
+        ev = BudgetedEvaluator(make_function("sphere", 3, 0), 5)
+        with pytest.raises(OutOfBox):
+            ev.speculate([[0.0, 0.0, 0.0], [0.0, 101.0, 0.0]])
+        assert ev.speculated == ev.used_nfe == 0
+
+    def test_only_a_pure_objective_is_speculated(self):
+        recorder = Recorder(sphere_objective(1))
+        ev = BudgetedEvaluator(recorder, 5)
+        with pytest.raises(ValueError, match="pure"):
+            ev.speculate([[0.0]])
+        assert recorder.calls == [] and ev.speculated == 0
