@@ -12,15 +12,24 @@ trials before the first: on a numpy Generator over PCG64 (every
 with the same values and the same final generator state as the method
 calls. A generation where numpy would redraw a Lemire rejection (below
 size / 2**32 per bounded draw), like every generation on any other
-generator, is drawn trial by trial through the generator's methods. It then
-builds every trial point in one pass from the start-of-generation population.
-On a pure objective it evaluates the funded points in one uncharged wave and
-commits each trial's value in trial order; at the first trial whose donors
-were replaced since, every later point with a replaced donor is built again
-and evaluated in one more wave. Any other objective is called on each point
-just before it is charged. Since the draws are taken per generation, an
-OutOfBox or NonFiniteValue that escapes a generation leaves any generator
-further along than trial-by-trial calls would.
+generator, is drawn trial by trial through the generator's methods.
+`run_de` and `run_cc` keep their streams to themselves and decode several
+generations of one shape in one read (`_ReadAhead`); `de_generation` and
+`cc_cycle` on the caller's generator take one generation's draws.
+
+A generation then builds every trial point in one pass from the
+start-of-generation population. On a pure objective it evaluates the funded
+points in one uncharged wave, then settles the trials in order: once every
+earlier donor of a trial has settled, its value stands if none of them was
+accepted, and otherwise its point is built again from the settled donors
+and evaluated with the other rebuilt points in one more wave, so no trial
+is evaluated more than twice. The settled values are then committed in
+trial order. Any other objective is called on each point, as the population
+stands, just before it is charged. Since the draws are taken per
+generation, an OutOfBox or NonFiniteValue that escapes a generation leaves
+the generator passed to `de_generation` or `cc_cycle` further along than
+trial-by-trial calls would, by the draws of that generation's trials that
+never ran.
 """
 
 from __future__ import annotations
@@ -115,7 +124,8 @@ def _donor_table(n: int) -> np.ndarray:
 
 def _method_draws(rng, n: int, k: int, trials: int, cfg: DEConfig):
     """The draws of trials 0 .. trials-1 from the generator's own methods,
-    called trial by trial in order.
+    called trial by trial in order; trial i's target is individual i % n, so
+    the trials may span generations.
 
     Returns (donors, scales, masks): a (trials, 3) array of three distinct
     individuals other than each target, the (trials,) scale factors, and the
@@ -127,7 +137,7 @@ def _method_draws(rng, n: int, k: int, trials: int, cfg: DEConfig):
     scales = np.empty(trials)
     masks = np.empty((trials, k), dtype=bool)
     for i in range(trials):
-        donors[i] = rng.choice(pools[i], size=3, replace=False)
+        donors[i] = rng.choice(pools[i % n], size=3, replace=False)
         scales[i] = rng.uniform(f_low, f_high)
         masks[i] = rng.random(k) <= cfg.cr
         masks[i, int(rng.integers(k))] = True
@@ -135,7 +145,7 @@ def _method_draws(rng, n: int, k: int, trials: int, cfg: DEConfig):
 
 
 class _Layout(NamedTuple):
-    """Where a generation's draws sit in its bulk read of raw words.
+    """Where the draws of a run of trials sit in their bulk read of raw words.
 
     Each trial makes six bounded draws in this order: Floyd's three on
     [0, j] for j = n-4 .. n-2, the shuffle's two on [0, 2] and [0, 1], and
@@ -144,9 +154,9 @@ class _Layout(NamedTuple):
     is read-only.
     """
 
-    sizes: np.ndarray       # (6 * trials,) range size of each bounded draw
-    thresholds: np.ndarray  # Lemire's threshold 2**32 % size of each draw
-    words: np.ndarray       # the word holding each draw's last half-word
+    sizes: np.ndarray       # (6,) range size of each bounded draw of a trial
+    thresholds: np.ndarray  # (6,) Lemire's threshold 2**32 % size of each
+    words: np.ndarray       # (6 * trials,) the word holding each draw's last half-word
     shifts: np.ndarray      # 0 where that half-word is a low half, 32 where high
     buffered: int           # leading draws whose last half-word is the starting buffer
     doubles: np.ndarray     # (trials, k + 1) word of each trial's doubles
@@ -164,8 +174,8 @@ def _draw_layout(n: int, k: int, trials: int, has_uint32: int) -> _Layout:
     `has_uint32` is set, else the low half of the next unread word, which
     sets the flag. Doubles take whole words and leave the buffer alone.
     """
-    sizes = np.tile(np.array([n - 3, n - 2, n - 1, 3, 2, k], dtype=np.uint64), trials)
-    counts = (sizes > 1).astype(np.intp)
+    sizes = np.array([n - 3, n - 2, n - 1, 3, 2, k], dtype=np.uint64)
+    counts = np.tile(sizes > 1, trials).astype(np.intp)
     # q: index of each draw's last half-word among those taken from unread
     # words (-1 is the starting buffer); pair r of them is word r's two halves
     q = np.cumsum(counts) - 1 - has_uint32
@@ -223,9 +233,14 @@ def _pcg64_draws(rng: np.random.Generator, n: int, k: int, trials: int,
     start = bg.state
     layout = _draw_layout(n, k, trials, start["has_uint32"])
     words = bg.random_raw(layout.used)
-    halves = (words[layout.words] >> layout.shifts) & 0xFFFFFFFF
-    halves[:layout.buffered] = start["uinteger"]
-    products = halves * layout.sizes
+    # each draw's half-word, then its product with the range size, in place
+    # (a read of many trials would otherwise hold several copies at once)
+    products = words[layout.words]
+    products >>= layout.shifts
+    products &= 0xFFFFFFFF
+    products[:layout.buffered] = start["uinteger"]
+    products = products.reshape(trials, 6)
+    products *= layout.sizes
     if ((products & 0xFFFFFFFF) < layout.thresholds).any():
         bg.state = start
         return None
@@ -234,37 +249,106 @@ def _pcg64_draws(rng: np.random.Generator, n: int, k: int, trials: int,
     end["uinteger"] = int(words[layout.last_word] >> 32)
     bg.state = end
 
-    values = (products >> 32).astype(np.intp).reshape(trials, 6)
+    products >>= 32
+    values = products.view(np.intp)
     a, b, c, s2, s1, forced = values.T  # views of the columns
     # Floyd: a value already taken is replaced by its draw's upper end (c is
     # compared with the replaced b)
     values[:, 1] = np.where(b == a, n - 3, b)
     values[:, 2] = np.where((c == a) | (c == b), n - 2, c)
-    targets = np.arange(trials)[:, None]
-    picked = values.ravel()[6 * targets + _SHUFFLES[s2, s1]]
-    # position v in target i's donor pool is individual v + (v >= i)
-    donors = picked + (picked >= targets)
-    doubles = (words[layout.doubles] >> 11) * 2.0 ** -53
-    scales = f_low + (f_high - f_low) * doubles[:, 0]
-    masks = doubles[:, 1:] <= cfg.cr
-    masks[targets[:, 0], forced] = True
+    order = np.arange(trials)
+    picked = values.ravel()[6 * order[:, None] + _SHUFFLES[s2, s1]]
+    # position v in target i's donor pool is individual v + (v >= i), and
+    # trial t's target is t % n
+    targets = order % n
+    donors = picked + (picked >= targets[:, None])
+    # a double is (w >> 11) * 2**-53, exactly, so it is compared with cr
+    # as the integer it scales
+    doubles = words[layout.doubles]
+    doubles >>= 11
+    scales = f_low + (f_high - f_low) * (doubles[:, 0] * 2.0 ** -53)
+    masks = doubles[:, 1:] <= cfg.cr * 2.0 ** 53
+    masks[order, forced] = True
     return donors, scales, masks
 
 
-def _trial_rows(subs, donors, scales, keep, targets, lo, hi):
-    """rand/1/bin trial coordinates, one row per trial: the mutant `subs[r1] +
-    scale * (subs[r2] - subs[r3])` of the trial's donors (r1, r2, r3), with
-    the target's coordinates where `keep` is set, clamped to [lo, hi]. Takes
-    the donor rows with `take`; returns a new array."""
-    r1, r2, r3 = donors.T
-    rows = subs.take(r2, axis=0)
-    rows -= subs.take(r3, axis=0)
+def _trial_rows(table, donors, scales, keep, targets, lo, hi, out=None):
+    """rand/1/bin trial coordinates, one row per trial: the mutant `r1 +
+    scale * (r2 - r3)` of the trial's donor rows `table[donors]`, with the
+    target's coordinates where `keep` is set, clamped to [lo, hi]. Takes the
+    donor rows with one `take` of shape (m, 3, k); writes into `out`, else
+    into a new array."""
+    picked = table.take(donors, axis=0)
+    rows = np.subtract(picked[:, 1], picked[:, 2], out=out)
     rows *= scales[:, None]
-    rows += subs.take(r1, axis=0)
+    rows += picked[:, 0]
     np.copyto(rows, targets, where=keep)
     np.maximum(rows, lo, out=rows)
     np.minimum(rows, hi, out=rows)
     return rows
+
+
+# the raw words one read of a run's read-ahead takes at most; at k = 100 a
+# read of more than about three generations is no cheaper per generation
+_READ_WORDS = 1 << 14
+
+
+class _ReadAhead:
+    """A run's generation draws, decoded from its generator `rng` a chunk of
+    generations at a time.
+
+    The run's generations draw on one population with the coordinate counts
+    `ks` in turn, one per generation and cyclically (DE's dimension, or CC's
+    group sizes). A chunk is one `_pcg64_draws` read of trials that span
+    consecutive generations with the same count: one generation at least,
+    else as many as fit in `_READ_WORDS` raw words, and no more trials than
+    the budget `ev` can still draw. Where numpy would reject a draw in the
+    chunk, the generation at hand is drawn on its own, as on a plain
+    generator, and the next one starts a new chunk.
+    """
+
+    def __init__(self, rng: np.random.Generator, ev: BudgetedEvaluator, ks: tuple[int, ...]):
+        self.rng = rng
+        self.ev = ev
+        self.ks = ks
+        self.turn = 0  # the index in `ks` of the next generation
+        self.draws = ()
+        self.served = self.read = 0  # trials of `draws` served and decoded
+
+    def take(self, n: int, k: int, trials: int, cfg: DEConfig):
+        """The draws of the next generation's first `trials` trials."""
+        if self.served == self.read:
+            self._read(n, k, trials, cfg)
+        self.turn = (self.turn + 1) % len(self.ks)
+        start = self.served
+        stop = self.served = start + trials
+        donors, scales, masks = self.draws
+        return donors[start:stop], scales[start:stop], masks[start:stop]
+
+    def _read(self, n: int, k: int, trials: int, cfg: DEConfig) -> None:
+        ks = self.ks
+        gens = max(1, _READ_WORDS // (n * (k + 4)))  # about k + 4 words per trial
+        for ahead in range(1, min(gens, len(ks))):
+            if ks[(self.turn + ahead) % len(ks)] != k:
+                gens = ahead
+                break
+        count = min(gens * n, self.ev.remaining + 1)
+        draws = _pcg64_draws(self.rng, n, k, count, cfg)
+        if draws is None:
+            count = trials
+            draws = _generation_draws(self.rng, n, k, trials, cfg)
+        self.draws = draws
+        self.served, self.read = 0, count
+
+
+def _generation_draws(rng, n: int, k: int, trials: int, cfg: DEConfig):
+    """The draws of a generation's first `trials` trials: served by a run's
+    read-ahead, else decoded from a PCG64 generator's raw words, else drawn
+    through the generator's methods."""
+    if isinstance(rng, _ReadAhead):
+        return rng.take(n, k, trials, cfg)
+    draws = _pcg64_draws(rng, n, k, trials, cfg)
+    return draws if draws is not None else _method_draws(rng, n, k, trials, cfg)
 
 
 def _generation_on(population: list[Candidate], coords: np.ndarray,
@@ -281,15 +365,22 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
     are kept and the rest of the generation is abandoned.
 
     The draws of the trials that draw (those up to and including the one
-    that meets BudgetExhausted) are taken before the first trial: decoded
-    on a numpy Generator on PCG64, else from the generator's methods. Their
-    trial points are then built in one pass from the start-of-generation
-    population. On a pure objective the points the budget funds are
-    evaluated uncharged in one wave, and each trial commits its value in
-    order. At the first trial with a donor replaced since the points were
-    built, every later point with such a donor is rebuilt from the current
-    population and, on a pure objective, evaluated in one more wave. Any
-    other objective is called on each point just before it is charged.
+    that meets BudgetExhausted) are taken before the first trial, from a
+    run's read-ahead or from the generator (see `_generation_draws`). Every
+    trial row is then built in one pass from the start-of-generation
+    population. Trial i's row depends only on which of its earlier donors
+    (trials before i) were accepted, since its target and its later donors
+    are unchanged at trial i. On a pure objective the funded rows are
+    evaluated uncharged in one wave, and the trials settle in order: a trial
+    settles once every earlier donor has. Its first-wave value stands when
+    none of those was accepted; otherwise its row is built again once, from
+    the trial row of each accepted earlier donor and the start-of-generation
+    row of every other donor, and evaluated with the other rebuilt rows in
+    one more wave. So no trial is evaluated more than twice. Once every
+    funded trial has settled, each is charged in trial order with
+    `ev.commit` and the accepted ones replace their targets. Any other
+    objective is called through `ev.evaluate` trial by trial, on each row
+    as the population stands just before that trial.
     """
     box = ev.objective.box
     n = len(population)
@@ -298,49 +389,95 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
     hi = box.upper[coords]
     trials = min(n, ev.remaining + 1)
     funded = min(trials, ev.remaining)
-    draws = _pcg64_draws(rng, n, k, trials, cfg)
-    if draws is None:
-        draws = _method_draws(rng, n, k, trials, cfg)
-    donors, scales, masks = draws
+    donors, scales, masks = _generation_draws(rng, n, k, trials, cfg)
     keep = ~masks  # the coordinates each trial takes from its target
-    # row i holds population[i].position[coords], kept current on replacement
-    subs = np.array([c.position for c in population])[:, coords]
-    # target row i cannot change before trial i, so only a replaced donor
-    # makes a row stale
-    rows = _trial_rows(subs, donors, scales, keep, subs[:trials], lo, hi)
+    # rows 0 .. n-1 hold the start-of-generation coordinates, row n + i
+    # trial i's row as last built
+    table = np.empty((n + trials, k))
+    np.take(np.array([c.position for c in population]), coords, axis=1, out=table[:n])
+    rows = _trial_rows(table, donors, scales, keep, table[:trials], lo, hi, out=table[n:])
     if context is None:
         points = rows
     else:
         points = np.tile(context, (trials, 1))
         points[:, coords] = rows
-    pure = getattr(ev.objective, "pure", False)
-    # values[i] is the objective at points[i], uncharged until trial i commits it
-    values = ev.speculate(points[:funded]) if pure and funded else []
-    dirty = [False] * n  # replaced since the rows were last built
+    accepted = [False] * n  # trial i replaced its target
     triples = donors.tolist()
-    for i, (r1, r2, r3) in enumerate(triples):
-        if i < funded and (dirty[r1] or dirty[r2] or dirty[r3]):
-            stale = np.array([j for j, (d1, d2, d3) in enumerate(triples[i:funded], i)
-                              if dirty[d1] or dirty[d2] or dirty[d3]])
-            fresh = _trial_rows(subs, donors.take(stale, axis=0), scales.take(stale),
-                                keep.take(stale, axis=0), subs.take(stale, axis=0), lo, hi)
-            rows[stale] = fresh
-            if context is not None:
-                points[stale[:, None], coords] = fresh
-            if pure:
-                block = fresh if context is None else points.take(stale, axis=0)
-                for j, value in zip(stale.tolist(), ev.speculate(block)):
-                    values[j] = value
-            dirty = [False] * n
-        point = points[i]
+
+    def rebuild(at: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """Build the rows of the trials `at` again from the rows `picks` of
+        `table`, three per trial; returns their points."""
+        fresh = _trial_rows(table, picks, scales[at], keep[at], table[at], lo, hi)
+        table[n + at] = fresh
+        if context is None:
+            return fresh
+        block = points[at]
+        block[:, coords] = fresh
+        return block
+
+    if not getattr(ev.objective, "pure", False):
+        for i, triple in enumerate(triples):
+            point = points[i]
+            sources = [d + n if accepted[d] else d for d in triple]  # only d < i is settled
+            if sources != triple:
+                point = rebuild(np.array([i]), np.array([sources]))[0]
+            try:
+                value = ev.evaluate(point)
+            except BudgetExhausted:
+                return False
+            if value <= population[i].value:
+                population[i] = Candidate(point.copy(), value)
+                accepted[i] = True
+        return True
+
+    # values[i] is the objective at trial i's row, uncharged until committed
+    values = ev.speculate(points[:funded]) if funded else []
+    # trial i settles once its waits[i] earlier donors have, and is built
+    # again first when one of them was accepted (redo[i]); sources[i] lists
+    # the rows of `table` it is built from
+    sources = donors.copy()
+    slots = sources.reshape(-1)
+    early = sources[:funded] < np.arange(funded)[:, None]
+    waits = early.sum(axis=1).tolist()
+    redo = [False] * funded
+    followers = [[] for _ in range(funded)]  # (trial, slot) of each later use
+    uses = np.flatnonzero(early)
+    for slot, d in zip(uses.tolist(), slots[uses].tolist()):
+        followers[d].append((slot // 3, slot))
+    ready = [i for i in range(funded) if not waits[i]]
+    rebuilt = False
+    while ready:
+        stale = []
+        for i in ready:  # a trial released here is visited in this pass
+            if redo[i]:
+                stale.append(i)
+                continue
+            good = accepted[i] = values[i] <= population[i].value
+            for j, slot in followers[i]:
+                if good:
+                    redo[j] = True
+                    slots[slot] = n + i
+                waits[j] -= 1
+                if not waits[j]:
+                    ready.append(j)
+        ready = sorted(stale)
+        if stale:
+            at = np.array(ready)
+            for i, value in zip(ready, ev.speculate(rebuild(at, sources[at]))):
+                values[i] = value
+                redo[i] = False
+            rebuilt = True
+    if rebuilt and context is not None:
+        points[:, coords] = rows
+    for i in range(trials):
         try:
-            value = ev.commit(point, values[i]) if i < len(values) else ev.evaluate(point)
+            # the trial past the budget, if any, meets BudgetExhausted
+            point = points[i]
+            value = ev.commit(point, values[i]) if i < funded else ev.evaluate(point)
         except BudgetExhausted:
             return False
-        if value <= population[i].value:
+        if accepted[i]:
             population[i] = Candidate(point.copy(), value)
-            subs[i] = rows[i]
-            dirty[i] = True
     return True
 
 
@@ -358,11 +495,10 @@ def run_de(objective, max_nfe: int, seed: int,
     the budget is gone."""
     cfg = cfg if cfg is not None else DEConfig()
     ev = BudgetedEvaluator(objective, max_nfe)
-    init_rng = named_stream(seed, "de-init")
-    gen_rng = named_stream(seed, "de-gen")
-    population = _init_population(cfg.pop_size, ev, init_rng)
+    population = _init_population(cfg.pop_size, ev, named_stream(seed, "de-init"))
+    gen = _ReadAhead(named_stream(seed, "de-gen"), ev, (objective.box.dim,))
     while ev.remaining > 0:
-        de_generation(population, cfg, ev, gen_rng)
+        de_generation(population, cfg, ev, gen)
     return RunResult(best=ev.best, used_nfe=ev.used_nfe, trace=ev.trace)
 
 
@@ -440,7 +576,10 @@ def run_cc(objective, max_nfe: int, seed: int,
         raise ValueError(f"num_groups must lie in [1, {dim}], got {cfg.num_groups}")
     ev = BudgetedEvaluator(objective, max_nfe)
     state = cc_init(cfg, ev, named_stream(seed, "cc-init"))
-    gen_rng = named_stream(seed, "cc-gen")
+    # every cycle's groups have delta_grouping's sizes, in this order
+    size = dim // cfg.num_groups
+    sizes = (size,) * (cfg.num_groups - 1) + (dim - size * (cfg.num_groups - 1),)
+    gen = _ReadAhead(named_stream(seed, "cc-gen"), ev, sizes)
     while ev.remaining > 0:
-        cc_cycle(state, cfg, ev, gen_rng)
+        cc_cycle(state, cfg, ev, gen)
     return RunResult(best=ev.best, used_nfe=ev.used_nfe, trace=ev.trace)

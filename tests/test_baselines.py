@@ -6,15 +6,20 @@ import math
 import numpy as np
 import pytest
 
+from mcdopt import baselines
 from mcdopt.baselines import (
+    _READ_WORDS,
     CCConfig,
     CCState,
     DEConfig,
+    RunResult,
     _donor_table,
+    _draw_layout,
     _generation_on,
     _init_population,
     _method_draws,
     _pcg64_draws,
+    _ReadAhead,
     cc_cycle,
     cc_init,
     de_generation,
@@ -706,3 +711,249 @@ class TestSpeculativeGeneration:
                     cc_cycle(state, cfg, ev, rng)
             assert obj.evaluated == 10  # the initial population, row by row
             assert ev.speculated == obj.batched >= ev.used_nfe - 10
+
+
+def _generation_outcome(population, ev):
+    return ([(c.position.tobytes(), c.value) for c in population], ev.used_nfe, ev.trace)
+
+
+def _earlier_donor_depth(donors):
+    """Each trial's depth in the chain of its earlier donors: 0 without one,
+    else one more than the deepest of them."""
+    depth = []
+    for i, triple in enumerate(donors.tolist()):
+        depth.append(1 + max((depth[d] for d in triple if d < i), default=-1))
+    return depth
+
+
+class Waves(PureBatched):
+    """A pure objective that also logs the row count of each wave."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.waves = []
+
+    def evaluate_batch(self, positions):
+        self.waves.append(len(positions))
+        return super().evaluate_batch(positions)
+
+
+class TestSettledWaves:
+    """A pure objective's trials settle in order: each is evaluated once more
+    at most, after every earlier donor has settled."""
+
+    @pytest.mark.parametrize("n, dim, k", [(5, 6, 2), (12, 10, 10), (50, 100, 100), (50, 100, 10)])
+    @pytest.mark.parametrize("objective", ["pure sphere", "pure plateau", "suite"])
+    def test_each_trial_is_evaluated_twice_at_most(self, n, dim, k, objective):
+        coords = np.arange(dim) if k == dim else named_stream(dim, "twice").permutation(dim)[:k]
+        outcomes = []
+        for generation in (_generation_on, reference_generation):
+            ev = BudgetedEvaluator(_reference_objective(objective, dim), 4 * n + n // 2)
+            population = _init_population(n, ev, named_stream(dim, "twice-init"))
+            rng = named_stream(n + k, "twice-gen")
+            generations = []
+            completed = True
+            while completed:
+                used, speculated = ev.used_nfe, ev.speculated
+                context = None if k == dim else ev.best.position
+                completed = generation(population, coords, context,
+                                       DEConfig(pop_size=n), ev, rng)
+                assert ev.speculated - speculated <= 2 * (ev.used_nfe - used)
+                generations.append(_generation_outcome(population, ev))
+            outcomes.append(generations)
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("n, dim, k", [(4, 3, 3), (12, 10, 10), (50, 100, 100), (50, 100, 10)])
+    def test_waves_follow_the_longest_chain_of_accepted_donors(self, n, dim, k):
+        # every trial ties with its target, so every trial is accepted and a
+        # trial with an earlier donor waits for the deepest one
+        coords = np.arange(dim) if k == dim else np.arange(dim)[::-1][:k]
+        cfg = DEConfig(pop_size=n)
+        box = Box(np.full(dim, -5.0), np.full(dim, 5.0))
+        outcomes = []
+        for generation in (_generation_on, reference_generation):
+            obj = Waves(Objective(lambda x: 0.0, box))
+            ev = BudgetedEvaluator(obj, 4 * n)
+            population = _init_population(n, ev, named_stream(k, "chain-init"))
+            rng = named_stream(k, "chain-gen")
+            for _ in range(3):
+                donors = _method_draws(_twin(rng), n, k, n, cfg)[0]
+                before = list(population)
+                context = None if k == dim else ev.best.position
+                waves = len(obj.waves)
+                assert generation(population, coords, context, cfg, ev, rng)
+                assert all(a is not b for a, b in zip(before, population))
+                if generation is _generation_on:
+                    assert len(obj.waves) - waves == 1 + max(_earlier_donor_depth(donors))
+            outcomes.append(_generation_outcome(population, ev))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("k", [6, 2])
+    def test_a_nan_in_a_rebuilt_row_keeps_the_replacements_before_it(self, k):
+        # every trial ties and is accepted, so trial t, which has an earlier
+        # donor, is evaluated on its first-wave row and then on its rebuilt
+        # row, which alone gives NaN
+        n, dim = 12, 6
+        coords = np.arange(dim) if k == dim else np.array([4, 1])
+        cfg = DEConfig(pop_size=n)
+        box = Box(np.full(dim, -5.0), np.full(dim, 5.0))
+        recorder = Recorder(Objective(lambda x: 0.0, box))
+        ev = BudgetedEvaluator(recorder, 100)
+        population = _init_population(n, ev, named_stream(k, "nan-init"))
+        rng = named_stream(k, "nan-gen")
+        depth = _earlier_donor_depth(_method_draws(_twin(rng), n, k, n, cfg)[0])
+        t = next(i for i in range(n // 2, n) if depth[i] > 0)
+        context = None if k == dim else ev.best.position
+        reference_generation(population, coords, context, cfg, ev, rng)
+        bad = recorder.calls[n + t].tobytes()
+        outcomes = []
+        for generation in (_generation_on, reference_generation):
+            obj = Waves(Objective(lambda x: math.nan if x.tobytes() == bad else 0.0, box))
+            ev = BudgetedEvaluator(obj, 100)
+            population = _init_population(n, ev, named_stream(k, "nan-init"))
+            before = list(population)
+            context = None if k == dim else ev.best.position
+            with pytest.raises(NonFiniteValue):
+                generation(population, coords, context, cfg, ev, named_stream(k, "nan-gen"))
+            assert all(a is not b for a, b in zip(before[:t], population[:t]))
+            assert all(a is b for a, b in zip(before[t:], population[t:]))
+            if generation is _generation_on:
+                assert len(obj.waves) > 1
+            outcomes.append((_generation_outcome(population, ev), ev.best.position.tobytes()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0][1] == n + t
+
+    @pytest.mark.parametrize("dim, k", [(6, 6), (6, 2)])
+    @pytest.mark.parametrize("objective", ["sphere", "mostly accepting"])
+    def test_an_impure_objective_sees_the_charged_rows_in_trial_order(self, dim, k, objective):
+        n = 10
+        coords = np.arange(dim) if k == dim else np.array([3, 0])
+        calls = []
+        for generation in (_generation_on, reference_generation):
+            recorder = Recorder(_reference_objective(objective, dim))
+            ev = BudgetedEvaluator(recorder, 3 * n + 4)
+            population = _init_population(n, ev, named_stream(dim, "impure-init"))
+            rng = named_stream(k, "impure-gen")
+            while generation(population, coords, None if k == dim else ev.best.position,
+                             DEConfig(pop_size=n), ev, rng):
+                pass
+            assert len(recorder.calls) == ev.used_nfe == 3 * n + 4
+            calls.append([c.tobytes() for c in recorder.calls])
+        assert calls[0] == calls[1]
+
+
+def _last_called_on(monkeypatch, name):
+    """Patch the routine `name` of the baselines module to keep the first
+    argument of its last call (a population, or CC's state); returns a
+    getter for it."""
+    kept = []
+    original = getattr(baselines, name)
+
+    def keep(first, *args):
+        kept[:] = [first]
+        return original(first, *args)
+
+    monkeypatch.setattr(baselines, name, keep)
+    return lambda: kept[0]
+
+
+def _run_outcome(result, population):
+    return (result.trace, result.used_nfe, result.best.position.tobytes(), result.best.value,
+            [(c.position.tobytes(), c.value) for c in population])
+
+
+def _budgets(n, k):
+    """Budgets that end mid-generation, on a generation boundary, mid-chunk
+    and past the first chunk of read-ahead."""
+    chunk = max(1, _READ_WORDS // (n * (k + 4)))  # generations
+    budgets = {n + 2 * n + 1, n + 3 * n, n + n * min(chunk // 2, 5) + n // 2 + 1}
+    if chunk < 40:
+        budgets.add(n + n * (chunk + 1) + 3)
+    return sorted(budgets)
+
+
+class TestReadAhead:
+    """run_de and run_cc read their draws for several generations at once;
+    nothing about a run may show it."""
+
+    @pytest.mark.parametrize("dim", [2, 7, 10, 100])
+    @pytest.mark.parametrize("n", [4, 5, 50])
+    def test_run_de_equals_a_loop_of_generations(self, monkeypatch, dim, n):
+        cfg = DEConfig(pop_size=n)
+        for max_nfe in _budgets(n, dim):
+            fn = make_function("rastrigin", dim, dim)
+            population = _last_called_on(monkeypatch, "de_generation")
+            got = _run_outcome(run_de(fn, max_nfe, n, cfg), population())
+            monkeypatch.undo()
+            ev = BudgetedEvaluator(fn, max_nfe)
+            population = _init_population(n, ev, named_stream(n, "de-init"))
+            rng = named_stream(n, "de-gen")
+            while ev.remaining > 0:
+                de_generation(population, cfg, ev, rng)
+            assert got == _run_outcome(RunResult(ev.best, ev.used_nfe, ev.trace), population)
+
+    @pytest.mark.parametrize("dim, num_groups", [
+        (2, 1), (2, 2), (7, 3), (7, 2), (10, 3), (10, 10), (100, 7), (100, 10)])
+    @pytest.mark.parametrize("n", [4, 5, 50])
+    def test_run_cc_equals_a_loop_of_cycles(self, monkeypatch, dim, num_groups, n):
+        cfg = CCConfig(pop_size=n, num_groups=num_groups)
+        for max_nfe in _budgets(n, dim // num_groups):
+            fn = make_function("ackley", dim, dim)
+            state = _last_called_on(monkeypatch, "cc_cycle")
+            got = _run_outcome(run_cc(fn, max_nfe, n, cfg), state().population)
+            monkeypatch.undo()
+            ev = BudgetedEvaluator(fn, max_nfe)
+            state = cc_init(cfg, ev, named_stream(n, "cc-init"))
+            rng = named_stream(n, "cc-gen")
+            while ev.remaining > 0:
+                cc_cycle(state, cfg, ev, rng)
+            assert got == _run_outcome(RunResult(ev.best, ev.used_nfe, ev.trace),
+                                       state.population)
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (5, 7), (50, 10), (50, 100)])
+    def test_a_chunk_decodes_as_one_generation_after_another(self, n, k):
+        cfg = DEConfig(pop_size=n)
+        for has_uint32 in (0, 1):
+            rng = named_stream(n * k, "chunk")
+            if has_uint32:
+                rng.integers(7)
+            trials = 3 * n + 2
+            twin = _twin(rng)
+            got = _pcg64_draws(rng, n, k, trials, cfg)
+            parts = [_method_draws(twin, n, k, count, cfg) for count in (n, n, n, 2)]
+            for got_part, want in zip(got, zip(*parts)):
+                assert got_part.tolist() == np.concatenate(want).tolist()
+            assert rng.bit_generator.state == twin.bit_generator.state
+            _assert_same_draws(rng, n, k, trials, cfg)
+
+    def test_a_rejection_inside_a_chunk_draws_that_generation_on_its_own(self):
+        # with k = 3 each trial reads 7 words and leaves the half-word buffer
+        # as it found it, so word 350 holds trial 50's first Floyd draw (on
+        # [0, 46]) in its low half; a low half of 0 is rejected
+        n, k = 50, 3
+        cfg = DEConfig(pop_size=n)
+        rng = named_stream(3, "chunk-reject")
+        _place_word(rng, n * (k + 4), 0x9E3779B9 << 32)
+        before = rng.bit_generator.state
+        assert _pcg64_draws(rng, n, k, 2 * n, cfg) is None
+        assert rng.bit_generator.state == before
+        outcomes = []
+        for gen in (_twin(rng), rng):
+            ev = BudgetedEvaluator(make_function("sphere", k, 3), 5 * n)
+            if gen is rng:
+                gen = _ReadAhead(rng, ev, (k,))
+            population = _init_population(n, ev, named_stream(3, "chunk-reject-init"))
+            while ev.remaining > 0:
+                _generation_on(population, np.arange(k), None, cfg, ev, gen)
+            outcomes.append(_generation_outcome(population, ev))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (50, 1), (50, 10), (50, 100), (50, 1000)])
+    def test_a_read_is_bounded_in_raw_words(self, n, k):
+        ev = BudgetedEvaluator(make_function("sphere", k, 1), 10 ** 9)
+        reader = _ReadAhead(named_stream(1, "bounded"), ev, (k,))
+        reader.take(n, k, n, DEConfig(pop_size=n))
+        assert reader.read % n == 0
+        one = _draw_layout(n, k, n, 0).used
+        assert _draw_layout(n, k, reader.read, 0).used <= max(_READ_WORDS, one)
+        assert (reader.read == n) == (2 * one > _READ_WORDS)
