@@ -109,11 +109,9 @@ def _init_population(pop_size: int, ev: BudgetedEvaluator,
     failing initialization leaves `rng` at the rows it drew.
     """
     box = ev.objective.box
-    population = []
-    for row in rng.random((min(pop_size, ev.remaining), box.dim)):
-        position = box.lower + row * (box.upper - box.lower)
-        population.append(Candidate(position, ev.evaluate(position)))
-    return population
+    rows = rng.random((min(pop_size, ev.remaining), box.dim))
+    positions = box.lower + rows * (box.upper - box.lower)
+    return [Candidate(position.copy(), ev.evaluate(position)) for position in positions]
 
 
 def _donor_table(n: int) -> np.ndarray:

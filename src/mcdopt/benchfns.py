@@ -8,17 +8,19 @@ always reconstructs bit-identical shift vectors and rotation matrices.
 
 The rotated groups of a function all have one size m, so they exist only as
 two stacks that `make_function` draws once: a `(groups, m)` index array and
-a `(groups, m, m)` matrix array. An evaluation rotates every group with one
-stacked `np.matmul`, which gives the same bits as one `rot @ z[idx]` per
-group. The suite box is the symmetric cube [-BOX_HIGH, BOX_HIGH]^D, so
-`evaluate` checks a position's bounds with one reduction, the largest
-absolute coordinate against BOX_HIGH (a NaN coordinate fails it too).
+a `(groups, m, m)` matrix array. The group rotation is one stacked
+`np.matmul`, which gives the same bits as one `rot @ z[idx]` per group. The
+suite box is the symmetric cube [-BOX_HIGH, BOX_HIGH]^D, so a position's
+bounds are checked with one reduction, the largest absolute coordinate
+against BOX_HIGH (a NaN coordinate fails it too).
 
-`evaluate_batch` evaluates an `(n, D)` block with the same calls given a
-leading row axis (`np.vecdot` for the dot products, `axis=1` reductions and
-cumulative sums, the stacked rotation over every row at once), so each row
-gets the bits of `evaluate`; ackley's `exp`/`sqrt` tail stays in `math`, row
-by row, because numpy's vector `exp` rounds some rows differently.
+There is one arithmetic: the shift, the rotation and each base formula are
+written once, on an `(n, D)` block of rows (`np.vecdot` for the dot
+products, `axis=1` reductions and cumulative sums, the stacked rotation over
+every row at once). `evaluate_batch` runs it on its block and `evaluate` on
+its position as a block of one row, so a row's value does not depend on the
+block it comes in. Ackley's `exp`/`sqrt` tail stays in `math`, row by row,
+because numpy's vector `exp` rounds some rows differently from `math.exp`.
 """
 
 from __future__ import annotations
@@ -149,31 +151,11 @@ class BenchFunction:
         if not (x.shape == self.shift.shape
                 and np.maximum.reduce(np.abs(x)) <= BOX_HIGH):
             raise OutOfBox(f"{self.name}: position outside the function bounds")
-        z = x - self.shift
-        if self.rot is not None:
-            idx = self.rot_idx
-            z[idx] = np.matmul(self.rot, z[idx][..., None])[..., 0]
-        return self._base_value(z)
+        return self._base_value(self._to_base(x[None])[0])
 
     def _base_value(self, z: np.ndarray) -> float:
-        if self.base == "sphere":
-            return float(z @ z)
-        if self.base == "elliptic":
-            return float(self._coeffs @ (z * z))
-        if self.base == "rastrigin":
-            return float(np.add.reduce(z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0))
-        if self.base == "ackley":
-            n = z.size
-            root_mean_sq = math.sqrt(float(z @ z) / n)
-            mean_cos = float(np.add.reduce(np.cos(2.0 * math.pi * z))) / n
-            return (-20.0 * math.exp(-0.2 * root_mean_sq)
-                    - math.exp(mean_cos) + 20.0 + math.e)
-        if self.base == "rosenbrock":
-            w = z + 1.0  # optimum of the base sits at all-ones, folded into the shift
-            return float(np.add.reduce(100.0 * (w[1:] - w[:-1] ** 2) ** 2
-                                       + (1.0 - w[:-1]) ** 2))
-        partial = z.cumsum()  # schwefel12: _SPECS names no other base
-        return float(partial @ partial)
+        """The base formula's value at one vector `z` of the base frame."""
+        return float(self._formula(z[None])[0])
 
     def evaluate_batch(self, positions) -> np.ndarray:
         """The value of every row of an `(n, D)` block, n >= 1, each with the
@@ -183,13 +165,22 @@ class BenchFunction:
         if not (x.ndim == 2 and len(x) and x.shape[1:] == self.shift.shape
                 and np.maximum.reduce(np.abs(x), axis=None) <= BOX_HIGH):
             raise OutOfBox(f"{self.name}: a position outside the function bounds")
+        return self._formula(self._to_base(x))
+
+    def _to_base(self, x: np.ndarray) -> np.ndarray:
+        """An `(n, D)` block of positions in the base formula's frame: each
+        row shifted by the optimum and its groups rotated."""
         z = x - self.shift
-        if self.rot is not None:
-            groups, m = self.rot_idx.shape
-            z = z.take(self._order, axis=1)
-            head = z[:, :groups * m]
-            head[...] = np.matmul(self.rot, head.reshape(-1, groups, m, 1)).reshape(len(z), -1)
-            z = z.take(self._unorder, axis=1)
+        if self.rot is None:
+            return z
+        groups, m = self.rot_idx.shape
+        z = z.take(self._order, axis=1)
+        head = z[:, :groups * m]
+        head[...] = np.matmul(self.rot, head.reshape(-1, groups, m, 1)).reshape(len(z), -1)
+        return z.take(self._unorder, axis=1)
+
+    def _formula(self, z: np.ndarray) -> np.ndarray:
+        """The base formula's value of every row of an `(n, D)` block."""
         base = self.base
         if base == "sphere":
             return np.vecdot(z, z)
@@ -204,10 +195,10 @@ class BenchFunction:
             return np.array([-20.0 * math.exp(-0.2 * math.sqrt(sq / n))
                              - math.exp(cos / n) + 20.0 + math.e for sq, cos in sums])
         if base == "rosenbrock":
-            w = z + 1.0
+            w = z + 1.0  # optimum of the base sits at all-ones, folded into the shift
             return np.add.reduce(100.0 * (w[:, 1:] - w[:, :-1] ** 2) ** 2
                                  + (1.0 - w[:, :-1]) ** 2, axis=1)
-        partial = z.cumsum(axis=1)
+        partial = z.cumsum(axis=1)  # schwefel12: _SPECS names no other base
         return np.vecdot(partial, partial)
 
     def __repr__(self) -> str:

@@ -157,7 +157,8 @@ class BudgetedEvaluator:
     but are filled in lockstep, each block giving every lane its next rows;
     best and trace are rebuilt in that sequential order once every lane is
     full. Between `plan_lanes` and that point the budget is spent through
-    `evaluate_batch` only.
+    `evaluate_batch` only: `evaluate` and `commit` raise ValueError and
+    charge nothing.
 
     `speculate` evaluates a pure objective's block without charging it, and
     `commit` charges one row with its value under the rules of `evaluate`,
@@ -189,10 +190,9 @@ class BudgetedEvaluator:
         return self.max_nfe - self.used_nfe
 
     def evaluate(self, position) -> float:
-        # checked before the objective is called, so that an evaluation the
-        # budget cannot fund never reaches it
-        if self.used_nfe >= self.max_nfe:
-            raise BudgetExhausted(f"evaluation budget of {self.max_nfe} already spent")
+        # checked before the objective is called, so that an evaluation that
+        # cannot be charged never reaches it
+        self._check_chargeable()
         p = np.asarray(position, dtype=float)
         if self._check_bounds and not self.objective.box.contains(p):
             raise OutOfBox("position lies outside the objective bounds")
@@ -219,10 +219,10 @@ class BudgetedEvaluator:
     def commit(self, position, value: float) -> float:
         """Charge one evaluation of `position` that gave `value`, with the
         budget, NaN, `best` and trace rules of `evaluate`; `best` keeps a
-        copy of the position. A commit past the budget raises BudgetExhausted
-        and a NaN value NonFiniteValue, and neither is charged."""
-        if self.used_nfe >= self.max_nfe:
-            raise BudgetExhausted(f"evaluation budget of {self.max_nfe} already spent")
+        copy of the position. A commit past the budget raises BudgetExhausted,
+        one while planned lanes are filling ValueError and a NaN value
+        NonFiniteValue, and none of them is charged."""
+        self._check_chargeable()
         if math.isnan(value):
             raise NonFiniteValue("objective returned NaN")
         self.used_nfe += 1
@@ -230,6 +230,14 @@ class BudgetedEvaluator:
             self.best = Candidate(np.array(position, dtype=float), value)
             self.trace.append((self.used_nfe, value))
         return value
+
+    def _check_chargeable(self) -> None:
+        """Raise unless one evaluation may be charged on its own: not while
+        planned lanes are filling, nor past the budget."""
+        if self._lanes is not None:
+            raise ValueError("the lanes planned earlier are not full yet")
+        if self.used_nfe >= self.max_nfe:
+            raise BudgetExhausted(f"evaluation budget of {self.max_nfe} already spent")
 
     def plan_lanes(self, count: int, length: int) -> None:
         """Reserve the next `count * length` evaluations as `count` lanes of

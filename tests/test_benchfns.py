@@ -165,6 +165,16 @@ class TestValues:
         with pytest.raises(OutOfBox):
             fn.evaluate([0.0, 101.0, 0.0])
 
+    # evaluate runs the block arithmetic on its position as one row, but
+    # takes a vector of the function's length only
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    @pytest.mark.parametrize("position", [
+        np.zeros((1, 4)), np.zeros(5), np.array([0.0, np.nan, 0.0, 0.0])])
+    def test_evaluate_takes_one_in_box_vector(self, name, position):
+        fn = make_function(name, 4, 0)
+        with pytest.raises(OutOfBox):
+            fn.evaluate(position)
+
     def test_identity_rotation_degeneracy(self):
         grouped = make_function("elliptic-group", 8, 6)
         identity = BenchFunction("elliptic-group", grouped.shift,
@@ -237,8 +247,8 @@ class TestThroughEvaluator:
 
 
 class TestReferenceOracle:
-    """`evaluate` against the per-group rotation loop, the `np.sum` and
-    `np.cumsum` base forms and `Box.contains`, bit for bit."""
+    """`evaluate` and `evaluate_batch` against the per-group rotation loop,
+    the `np.sum` and `np.cumsum` base forms and `Box.contains`, bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 10, 100, 1000])
     @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -250,8 +260,9 @@ class TestReferenceOracle:
                    np.where(np.arange(dim) % 2 == 0, BOX_LOW, BOX_HIGH),
                    np.where(np.arange(dim) % 2 == 0, BOX_HIGH, BOX_LOW),
                    fn.optimum_position]
-        for x in points:
-            assert fn.evaluate(x).hex() == reference_value(fn, x).hex()
+        expected = [reference_value(fn, x).hex() for x in points]
+        assert [fn.evaluate(x).hex() for x in points] == expected
+        assert [v.hex() for v in fn.evaluate_batch(points).tolist()] == expected
 
     # at 7 the rotated groups leave a coordinate out
     @pytest.mark.parametrize("dim", [2, 7, 10, 100, 1000])

@@ -335,6 +335,24 @@ class TestEvaluateBatch:
         with pytest.raises(ValueError, match="not full yet"):
             ev.plan_lanes(1, 1)
 
+    def test_lone_charges_wait_until_the_lanes_are_full(self):
+        # charged in the middle of the plan, evaluate([1.0]) would be
+        # evaluation 3, which lane 1's first row already stands for
+        recorder = Recorder(sphere_objective(1))
+        ev = BudgetedEvaluator(recorder, 5)
+        ev.plan_lanes(2, 2)
+        ev.evaluate_batch([[5.0], [4.0]])
+        with pytest.raises(ValueError, match="not full yet"):
+            ev.evaluate([1.0])
+        with pytest.raises(ValueError, match="not full yet"):
+            ev.commit([1.0], 1.0)
+        assert ev.used_nfe == 2 and len(recorder.calls) == 2 and ev.trace == []
+        ev.evaluate_batch([[3.0], [0.5]])
+        assert ev.used_nfe == 4
+        assert ev.trace == [(1, 25.0), (2, 9.0), (4, 0.25)]
+        ev.evaluate([1.0])
+        assert ev.used_nfe == 5 and ev.trace == [(1, 25.0), (2, 9.0), (4, 0.25)]
+
     @pytest.mark.parametrize("block", [
         [[0.0, 0.0], [2.0, 0.0]], [[0.0, math.nan]], [[0.0, 0.0, 0.0]], [0.0, 0.0],
         np.zeros((0, 2)), np.zeros((1, 1, 2)), 0.0])
