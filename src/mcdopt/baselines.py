@@ -50,10 +50,11 @@ from .core import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DEConfig:
     """rand/1/bin settings: fixed crossover rate, scale factor drawn per individual
-    from the (low, high) pair `f_range`."""
+    from the (low, high) pair `f_range`. Checked here and frozen, so the checks
+    hold for the object's life; vary a field with `dataclasses.replace`."""
 
     pop_size: int = 50
     cr: float = 0.9
@@ -71,9 +72,10 @@ class DEConfig:
             raise ValueError("f_range low must not exceed high")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CCConfig:
-    """Co-evolution settings: group count plus the inner DE constants."""
+    """Co-evolution settings: group count plus the inner DE constants; frozen
+    like `DEConfig`. `delta_grouping` refuses more groups than dimensions."""
 
     pop_size: int = 50
     f: float = 0.5
@@ -219,13 +221,13 @@ def _pcg64_draws(rng: np.random.Generator, n: int, k: int, trials: int,
     is left exactly where the method calls would leave it.
 
     Returns None, with the generator untouched, when `rng` is not a plain
-    Generator on PCG64, when the calls would raise (`choice` on a population
-    below 4, `uniform` on an infinite f_high - f_low), or when a draw is
-    rejected, so that the caller redraws through the generator's methods.
+    Generator on PCG64, when `choice` would raise (a population below 4), or
+    when a draw is rejected, so that the caller redraws through the
+    generator's methods.
     """
     f_low, f_high = cfg.f_range
     if (type(rng) is not np.random.Generator or type(rng.bit_generator) is not np.random.PCG64
-            or n < 4 or not math.isfinite(f_high - f_low)):
+            or n < 4):
         return None
     bg = rng.bit_generator
     start = bg.state
@@ -569,14 +571,11 @@ def run_cc(objective, max_nfe: int, seed: int,
     is gone. More groups than dimensions is a ValueError before the first
     evaluation."""
     cfg = cfg if cfg is not None else CCConfig()
-    dim = objective.box.dim
-    if cfg.num_groups > dim:
-        raise ValueError(f"num_groups must lie in [1, {dim}], got {cfg.num_groups}")
+    # every cycle's groups have these sizes, in this order; delta_grouping
+    # raises here on more groups than dimensions
+    sizes = tuple(map(len, delta_grouping(np.zeros(objective.box.dim), cfg.num_groups)))
     ev = BudgetedEvaluator(objective, max_nfe)
     state = cc_init(cfg, ev, named_stream(seed, "cc-init"))
-    # every cycle's groups have delta_grouping's sizes, in this order
-    size = dim // cfg.num_groups
-    sizes = (size,) * (cfg.num_groups - 1) + (dim - size * (cfg.num_groups - 1),)
     gen = _ReadAhead(named_stream(seed, "cc-gen"), ev, sizes)
     while ev.remaining > 0:
         cc_cycle(state, cfg, ev, gen)

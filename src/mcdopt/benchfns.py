@@ -12,7 +12,7 @@ a `(groups, m, m)` matrix array. The group rotation is one stacked
 `np.matmul`, which gives the same bits as one `rot @ z[idx]` per group. The
 suite box is the symmetric cube [-BOX_HIGH, BOX_HIGH]^D, so a position's
 bounds are checked with one reduction, the largest absolute coordinate
-against BOX_HIGH (a NaN coordinate fails it too).
+against BOX_HIGH (a NaN coordinate fails it too), written once (`_checked`).
 
 There is one arithmetic: the shift, the rotation and each base formula are
 written once, on an `(n, D)` block of rows (`np.vecdot` for the dot
@@ -146,12 +146,8 @@ class BenchFunction:
         return self.shift.copy()
 
     def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        # the box is the symmetric cube, so this is Box.contains; NaN fails it
-        if not (x.shape == self.shift.shape
-                and np.maximum.reduce(np.abs(x)) <= BOX_HIGH):
-            raise OutOfBox(f"{self.name}: position outside the function bounds")
-        return self._base_value(self._to_base(x[None])[0])
+        x = self._checked(np.asarray(x, dtype=float)[None])
+        return self._base_value(self._to_base(x)[0])
 
     def _base_value(self, z: np.ndarray) -> float:
         """The base formula's value at one vector `z` of the base frame."""
@@ -161,11 +157,15 @@ class BenchFunction:
         """The value of every row of an `(n, D)` block, n >= 1, each with the
         bits of `evaluate(row)`; any row out of the box, or a block of
         another shape, raises OutOfBox."""
-        x = np.asarray(positions, dtype=float)
-        if not (x.ndim == 2 and len(x) and x.shape[1:] == self.shift.shape
+        return self._formula(self._to_base(self._checked(np.asarray(positions, dtype=float))))
+
+    def _checked(self, x: np.ndarray) -> np.ndarray:
+        """`x` if it is an `(n, D)` float block, n >= 1, inside the box
+        (`evaluate` passes one row); anything else raises OutOfBox."""
+        if not (x.shape[1:] == self.shift.shape and len(x)
                 and np.maximum.reduce(np.abs(x), axis=None) <= BOX_HIGH):
             raise OutOfBox(f"{self.name}: a position outside the function bounds")
-        return self._formula(self._to_base(x))
+        return x
 
     def _to_base(self, x: np.ndarray) -> np.ndarray:
         """An `(n, D)` block of positions in the base formula's frame: each

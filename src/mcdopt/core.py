@@ -4,12 +4,13 @@ Each optimizer run builds one `BudgetedEvaluator` from its objective and
 budget and spends every evaluation through it, so budget fairness lives in
 exactly one place; the run's result hands over the evaluator's best
 candidate and improvement trace. Bounds are checked once per evaluation: by
-`BudgetedEvaluator`, or by the objective's own `evaluate` (and
-`evaluate_batch`) when its class sets `checks_bounds = True` (as
-`BenchFunction` does). An objective whose class sets `pure = True` (as
-`BenchFunction` does) may also be evaluated ahead of charging: the evaluator
-returns a block's values uncharged, and each row counts only when it is
-committed.
+`BudgetedEvaluator._block`, on a block or one position as a one-row block,
+or by the objective's own `evaluate` (and `evaluate_batch`) when its class
+sets `checks_bounds = True` (as `BenchFunction` does). An objective whose
+class sets `pure = True` (as `BenchFunction` does) may also be evaluated
+ahead of charging: the evaluator returns a block's values uncharged, and
+each row counts only when it is committed. A budget and a stream seed follow
+one whole-number rule, `_whole_number`.
 """
 
 from __future__ import annotations
@@ -43,16 +44,27 @@ class InsufficientBudget(OptimizationError):
     """The evaluation budget cannot fund even one unit of planned work."""
 
 
+def _whole_number(value, name: str) -> int:
+    """`value` as an int: an integer or a finite float with no fraction. A bool,
+    a fraction, a non-finite number or a string raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            isinstance(value, numbers.Integral)
+            or (math.isfinite(value) and value == math.floor(value))):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def named_stream(seed: int, name: str) -> np.random.Generator:
     """Return a dedicated random generator for the pair (seed, stream name).
 
     Streams with different names are statistically independent even under the
     same seed, and the same (seed, name) pair always yields the same state, so
-    each stochastic component of a run can be replayed in isolation.
+    each stochastic component of a run can be replayed in isolation. The seed
+    must be a whole number (`_whole_number`); it enters as its low 64 bits.
     """
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = np.frombuffer(digest[:16], dtype=np.uint32)
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in words)]
+    entropy = [_whole_number(seed, "seed") & 0xFFFFFFFFFFFFFFFF, *(int(w) for w in words)]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -84,15 +96,6 @@ class Box:
 
     def midpoint(self) -> np.ndarray:
         return self.lower + (self.upper - self.lower) / 2.0
-
-    def contains(self, position) -> bool:
-        p = np.asarray(position, dtype=float)
-        if p.shape != self.lower.shape:
-            return False
-        return bool((p >= self.lower).all() and (p <= self.upper).all())
-
-    def copy(self) -> "Box":
-        return Box(self.lower, self.upper)
 
     def __repr__(self) -> str:
         return f"Box(dim={self.dim})"
@@ -146,10 +149,10 @@ class BudgetedEvaluator:
     (nfe, best_value) entry per strict improvement, so the nfe column is
     strictly increasing and the value column strictly decreasing.
 
-    Positions outside the objective's box raise OutOfBox and NaN values raise
-    NonFiniteValue; neither is charged or recorded. An objective whose class
-    sets `checks_bounds = True` raises OutOfBox from its own `evaluate`, so
-    its positions are checked there instead of twice.
+    Positions outside the objective's box (checked by `_block`, one position
+    as a one-row block) raise OutOfBox and NaN values NonFiniteValue; neither
+    is charged or recorded. An objective whose class sets `checks_bounds =
+    True` raises OutOfBox from its own `evaluate`, so it is checked once.
 
     `evaluate_batch` evaluates a block of rows in one objective call. After
     `plan_lanes(count, length)` the budget it spends is `count` lanes of
@@ -166,16 +169,11 @@ class BudgetedEvaluator:
     """
 
     def __init__(self, objective, max_nfe: int):
-        # a bool, a fraction or a non-finite budget would otherwise be
-        # truncated to a count, or overflow
-        if isinstance(max_nfe, bool) or not isinstance(max_nfe, numbers.Real) or not (
-                isinstance(max_nfe, numbers.Integral)
-                or (math.isfinite(max_nfe) and max_nfe == math.floor(max_nfe))):
-            raise ValueError(f"max_nfe must be a whole number, got {max_nfe!r}")
+        max_nfe = _whole_number(max_nfe, "max_nfe")
         if max_nfe < 1:
             raise ValueError("max_nfe must be at least 1")
         self.objective = objective
-        self.max_nfe = int(max_nfe)
+        self.max_nfe = max_nfe
         self.used_nfe = 0
         self.best: Optional[Candidate] = None
         self.trace: list[tuple[int, float]] = []
@@ -194,8 +192,7 @@ class BudgetedEvaluator:
         # cannot be charged never reaches it
         self._check_chargeable()
         p = np.asarray(position, dtype=float)
-        if self._check_bounds and not self.objective.box.contains(p):
-            raise OutOfBox("position lies outside the objective bounds")
+        self._block(p[None])
         return self.commit(p, float(self.objective.evaluate(p)))
 
     def speculate(self, positions) -> list[float]:

@@ -136,12 +136,13 @@ def transcript_improvements(steps):
 
 
 def reference_value(fn, x):
-    """A suite function's value the long way: the bounds checked by
-    `Box.contains`, one `rot @ z[idx]` per rotated group, and the `np.sum`
-    and `np.cumsum` forms of the base formulas. Raises OutOfBox like
-    `evaluate`."""
+    """A suite function's value the long way: the shape and both bounds of
+    the box checked coordinate by coordinate, one `rot @ z[idx]` per rotated
+    group, and the `np.sum` and `np.cumsum` forms of the base formulas.
+    Raises OutOfBox like `evaluate`."""
     x = np.asarray(x, dtype=float)
-    if not fn.box.contains(x):
+    if not (x.shape == fn.box.lower.shape
+            and (fn.box.lower <= x).all() and (x <= fn.box.upper).all()):
         raise OutOfBox(f"{fn.name}: position outside the function bounds")
     z = x - fn.shift
     if fn.rot is not None:

@@ -84,7 +84,7 @@ def test_geometric_shrinkage():
         shift = lower + 0.37 * (upper - lower)
         obj = Objective(lambda p: float((p - shift) @ (p - shift)), box)
         ev = BudgetedEvaluator(obj, 2 * dim * 10)
-        work = box.copy()
+        work = Box(box.lower, box.upper)
         x = work.midpoint()
         original = box.upper - box.lower
         for k in range(1, 11):

@@ -1,5 +1,6 @@
 """Tests for the two comparison optimizers and the delta-grouping rules."""
 
+import dataclasses
 import itertools
 import math
 
@@ -548,10 +549,17 @@ class TestDecodedDraws:
         rng = named_stream(1, "odd")
         before = rng.bit_generator.state
         assert _pcg64_draws(rng, 3, 4, 3, cfg) is None
-        wide = DEConfig()
-        wide.f_range = (-1e308, 1e308)  # a width DEConfig itself rejects
-        assert _pcg64_draws(rng, 8, 4, 8, wide) is None
         assert rng.bit_generator.state == before
+        # a width DEConfig rejects cannot be set after construction either:
+        # no field of either config can
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.f_range = (-1e308, 1e308)
+        for config in (cfg, CCConfig()):
+            for f in dataclasses.fields(config):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(config, f.name, getattr(config, f.name))
+        with pytest.raises(ValueError, match="width must be finite"):
+            dataclasses.replace(cfg, f_range=(0.2, math.inf))
         # so the calls raise as they always did
         ev = BudgetedEvaluator(sphere_objective(2), 100)
         population = _init_population(3, ev, named_stream(1, "odd-init"))

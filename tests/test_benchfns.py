@@ -248,7 +248,8 @@ class TestThroughEvaluator:
 
 class TestReferenceOracle:
     """`evaluate` and `evaluate_batch` against the per-group rotation loop,
-    the `np.sum` and `np.cumsum` base forms and `Box.contains`, bit for bit."""
+    the `np.sum` and `np.cumsum` base forms and a flat bounds check, bit for
+    bit."""
 
     @pytest.mark.parametrize("dim", [2, 10, 100, 1000])
     @pytest.mark.parametrize("name", SUITE_NAMES)

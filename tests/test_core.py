@@ -50,19 +50,6 @@ class TestBox:
         with pytest.raises(ValueError):
             Box([], [])
 
-    def test_contains_includes_bounds(self):
-        box = Box([-1.0, -1.0], [1.0, 1.0])
-        assert box.contains([1.0, -1.0])
-        assert box.contains([0.0, 0.0])
-        assert not box.contains([1.0000001, 0.0])
-        assert not box.contains([0.0])
-
-    def test_copy_is_independent(self):
-        box = Box([0.0], [1.0])
-        other = box.copy()
-        other.lower[0] = -5.0
-        assert box.lower[0] == 0.0
-
     def test_constructor_copies_input_arrays(self):
         lower = np.array([0.0])
         box = Box(lower, np.array([1.0]))
@@ -88,6 +75,24 @@ class TestNamedStream:
 
     def test_returns_generator(self):
         assert isinstance(named_stream(0, "x"), np.random.Generator)
+
+    @pytest.mark.parametrize("seed", [1.5, True, False, math.inf, -math.inf, math.nan, "1"])
+    def test_rejects_seeds_that_are_no_whole_number(self, seed):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            named_stream(seed, "perm")
+
+    def test_whole_seeds_keep_their_streams(self):
+        a = named_stream(7, "perm").random(8)
+        assert np.array_equal(named_stream(7.0, "perm").random(8), a)
+        assert np.array_equal(named_stream(np.int64(7), "perm").random(8), a)
+        # an integer enters as its low 64 bits
+        assert np.array_equal(named_stream(7 + 2 ** 64, "perm").random(8), a)
+        assert np.array_equal(named_stream(-1, "perm").random(8),
+                              named_stream(2 ** 64 - 1, "perm").random(8))
+
+    def test_run_with_an_infinite_seed_is_a_value_error(self):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            mcd.run(sphere_objective(1), 1, 100, math.inf)
 
 
 class TestObjective:
@@ -161,9 +166,12 @@ class TestBudgetedEvaluator:
     def test_duck_typed_objective_is_checked_before_it_is_called(self):
         recorder = Recorder(sphere_objective(2, low=-1.0, high=1.0))
         ev = BudgetedEvaluator(recorder, 5)
-        with pytest.raises(OutOfBox):
-            ev.evaluate([2.0, 0.0])
+        for position in ([2.0, 0.0], [1.0000001, 0.0], np.zeros((1, 2)), np.zeros(3)):
+            with pytest.raises(OutOfBox):
+                ev.evaluate(position)
         assert recorder.calls == [] and ev.used_nfe == 0
+        # the bounds themselves are inside the box
+        assert ev.evaluate([1.0, -1.0]) == 2.0 and ev.used_nfe == 1
 
     def test_nan_first_value_rejected_without_spending(self):
         values = iter([math.nan, 1.0, 0.5])

@@ -340,8 +340,9 @@ class TestRun:
         obj = sphere_objective(3, shift=shift)
         outcome = run(obj, max_iter=4, max_nfe=48, seed=8, record_steps=True)
         for step in outcome.steps:
-            assert obj.box.contains(step.x_position)
-            assert obj.box.contains(step.y_position)
+            for p in (step.x_position, step.y_position):
+                assert p.shape == obj.box.lower.shape
+                assert (obj.box.lower <= p).all() and (p <= obj.box.upper).all()
 
     def test_trace_values_non_increasing(self):
         obj = sphere_objective(5, shift=np.array([12.0, -3.0, 44.0, -60.0, 9.0]))
