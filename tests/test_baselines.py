@@ -725,13 +725,28 @@ def _generation_outcome(population, ev):
     return ([(c.position.tobytes(), c.value) for c in population], ev.used_nfe, ev.trace)
 
 
-def _earlier_donor_depth(donors):
+def _earlier_donor_depth(donors, moved=None):
     """Each trial's depth in the chain of its earlier donors: 0 without one,
-    else one more than the deepest of them."""
+    else one more than the deepest of them. With a `moved` mask, an earlier
+    donor is skipped when its row as first built did not move (`moved[d]`
+    false) and it was not built again itself (depth 0)."""
     depth = []
     for i, triple in enumerate(donors.tolist()):
-        depth.append(1 + max((depth[d] for d in triple if d < i), default=-1))
+        depth.append(1 + max((depth[d] for d in triple
+                              if d < i and (moved is None or moved[d] or depth[d])),
+                             default=-1))
     return depth
+
+
+def _moved_rows(population, coords, draws, box):
+    """Whether each trial's row, built from the population as it stands,
+    differs in some bit from its target's row (bits, since -0.0 == 0.0)."""
+    donors, scales, masks = draws
+    rows = np.array([c.position[coords] for c in population])
+    r1, r2, r3 = rows[donors].transpose(1, 0, 2)
+    trial = np.where(masks, r1 + scales[:, None] * (r2 - r3), rows)
+    trial = np.minimum(np.maximum(trial, box.lower[coords]), box.upper[coords])
+    return (trial.view(np.int64) != rows.view(np.int64)).any(axis=1).tolist()
 
 
 class Waves(PureBatched):
@@ -772,9 +787,12 @@ class TestSettledWaves:
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("n, dim, k", [(4, 3, 3), (12, 10, 10), (50, 100, 100), (50, 100, 10)])
-    def test_waves_follow_the_longest_chain_of_accepted_donors(self, n, dim, k):
+    def test_waves_follow_the_longest_chain_of_accepted_donors(self, n, dim, k, shared=1):
         # every trial ties with its target, so every trial is accepted and a
-        # trial with an earlier donor waits for the deepest one
+        # trial with an earlier donor that moved waits for the deepest one.
+        # The first `shared` individuals hold one position, so a trial among
+        # them whose donors are too keeps its target's row: it does not
+        # move, and the chain is shorter than its accepted donors' chain
         coords = np.arange(dim) if k == dim else np.arange(dim)[::-1][:k]
         cfg = DEConfig(pop_size=n)
         box = Box(np.full(dim, -5.0), np.full(dim, 5.0))
@@ -783,17 +801,88 @@ class TestSettledWaves:
             obj = Waves(Objective(lambda x: 0.0, box))
             ev = BudgetedEvaluator(obj, 4 * n)
             population = _init_population(n, ev, named_stream(k, "chain-init"))
+            population[1:shared] = [Candidate(population[0].position.copy(), 0.0)
+                                    for _ in range(1, shared)]
             rng = named_stream(k, "chain-gen")
+            shorter = 0
             for _ in range(3):
-                donors = _method_draws(_twin(rng), n, k, n, cfg)[0]
+                draws = _method_draws(_twin(rng), n, k, n, cfg)
+                depth = max(_earlier_donor_depth(draws[0],
+                                                 _moved_rows(population, coords, draws, box)))
+                shorter += depth < max(_earlier_donor_depth(draws[0]))
                 before = list(population)
                 context = None if k == dim else ev.best.position
                 waves = len(obj.waves)
                 assert generation(population, coords, context, cfg, ev, rng)
                 assert all(a is not b for a, b in zip(before, population))
                 if generation is _generation_on:
-                    assert len(obj.waves) - waves == 1 + max(_earlier_donor_depth(donors))
+                    assert len(obj.waves) - waves == 1 + depth
+            assert (shorter > 0) == (shared > 1)
             outcomes.append(_generation_outcome(population, ev))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("n, dim, k, shared", [(12, 10, 10, 11), (50, 100, 100, 47)])
+    def test_waves_skip_accepted_donors_whose_rows_did_not_move(self, n, dim, k, shared):
+        self.test_waves_follow_the_longest_chain_of_accepted_donors(n, dim, k, shared)
+
+    @pytest.mark.parametrize("n, dim, k", [(5, 6, 2), (12, 10, 10), (50, 100, 100), (50, 100, 10)])
+    def test_a_collapsed_population_takes_one_wave_a_generation(self, n, dim, k):
+        # every individual holds one position, so every mutant is that
+        # position bit for bit: each trial ties and is accepted, but no row
+        # moves, so no later trial is built again. Three whole generations,
+        # then the budget cuts the fourth in its middle
+        coords = np.arange(dim) if k == dim else named_stream(dim, "collapsed").permutation(dim)[:k]
+        point = named_stream(dim, "collapsed-point").uniform(-5.0, 5.0, dim)
+        outcomes = []
+        for generation in (_generation_on, reference_generation):
+            obj = Waves(sphere_objective(dim, low=-5.0, high=5.0))
+            ev = BudgetedEvaluator(obj, 4 * n + n // 2)
+            population = _seeded_population([point] * n, ev)
+            rng = named_stream(n + k, "collapsed-gen")
+            generations = []
+            completed = True
+            while completed:
+                waves, used, speculated = len(obj.waves), ev.used_nfe, ev.speculated
+                context = None if k == dim else ev.best.position
+                completed = generation(population, coords, context,
+                                       DEConfig(pop_size=n), ev, rng)
+                if generation is _generation_on:
+                    assert len(obj.waves) - waves == 1
+                    assert ev.speculated - speculated == ev.used_nfe - used
+                generations.append(_generation_outcome(population, ev))
+            outcomes.append((generations, rng.bit_generator.state))
+        assert outcomes[0] == outcomes[1]
+        assert len(outcomes[0][0]) == 4
+        assert all(c.position.tobytes() == point.tobytes() for c in population)
+
+    @pytest.mark.parametrize("k", [6, 2])
+    def test_a_row_that_moved_only_in_the_sign_of_a_zero_has_moved(self, k):
+        # every coordinate is 0.0 or -0.0, so every trial ties on the sphere
+        # and is accepted. A mutant coordinate r1 + F * (r2 - r3) is -0.0 only
+        # when r1 and r2 are -0.0 and r3 is 0.0, so a trial row can differ
+        # from its target's in the sign of a zero alone, and a later trial
+        # built again from it can get the other sign
+        n, dim = 12, 6
+        coords = np.arange(dim) if k == dim else np.array([4, 1])
+        positions = np.where(named_stream(k, "zero-signs").random((n, dim)) < 0.5, -0.0, 0.0)
+        outcomes = []
+        for generation in (_generation_on, reference_generation):
+            obj = Waves(sphere_objective(dim, low=-5.0, high=5.0))
+            ev = BudgetedEvaluator(obj, 4 * n)
+            population = _seeded_population(positions, ev)
+            rng = named_stream(k, "zero-gen")
+            generations = []
+            sign_only = 0
+            for _ in range(3):
+                before = [c.position[coords] for c in population]
+                context = None if k == dim else ev.best.position
+                assert generation(population, coords, context, DEConfig(pop_size=n), ev, rng)
+                after = [c.position[coords] for c in population]
+                assert all((a == b).all() for a, b in zip(before, after))
+                sign_only += sum(a.tobytes() != b.tobytes() for a, b in zip(before, after))
+                generations.append(_generation_outcome(population, ev))
+            assert sign_only > 0
+            outcomes.append((generations, rng.bit_generator.state))
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("k", [6, 2])
