@@ -419,8 +419,9 @@ def _read_trace(out_dir: str, row: dict) -> tuple[list[int], list[float]]:
     finite values strictly falling to the row's final_error (every suite
     optimum is 0). Its text must be ASCII without blanks, each count as
     `str` writes it and no `_` after the header; a value need only parse as
-    a float, as a round trip of every value through `_trace_line` made a
-    D=100 report about 40% slower."""
+    a float, as comparing the text with its rows written again by
+    `_trace_line` made the parse and checks of a D=100 grid's 24 traces
+    (5,816 rows) 1.7 to 1.9 times as slow, and its report 1.3 to 1.4 times."""
     path = os.path.join(out_dir, "traces",
                         _trace_filename(row["algorithm"], row["function"], row["seed"]))
     text = _read_text(path)
@@ -492,7 +493,7 @@ def _mean_trace(traces, grid) -> list[float]:
     """
     dense = np.empty((len(grid), len(traces)))
     for j, (nfes, values) in enumerate(traces):
-        dense[:, j] = np.take(values, np.searchsorted(nfes, grid, side="right") - 1)
+        dense[:, j] = np.array(values)[np.array(nfes).searchsorted(grid, side="right") - 1]
     return np.mean(dense, axis=1).tolist()
 
 
@@ -557,19 +558,19 @@ def report_from_dir(out_dir: str) -> ExperimentReport:
                "aggregate": aggregate, "wtl": wtl}
     summary_text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     # read and check every trace before the first chart, so a damaged
-    # directory gets none
+    # directory gets none; every series has the checkpoints of one grid
+    checkpoints, counts = np.array(grid), list(map(float, grid))
     charts = {}
     for name in functions:
         series = []
         for algorithm in algorithms:
             traces = [_read_trace(out_dir, row)
                       for row in sorted(buckets[algorithm, name], key=lambda row: row["seed"])]
-            points = [(float(checkpoint), mean)
-                      for checkpoint, mean in zip(grid, _mean_trace(traces, grid))]
-            if not all(math.isfinite(value) for _, value in points):
+            means = _mean_trace(traces, checkpoints)
+            if not all(map(math.isfinite, means)):
                 raise ConfigError(f"{out_dir}: the mean trace of {algorithm} on "
                                   f"{name} is not finite")
-            series.append((algorithm, ALGORITHM_COLORS[algorithm], points))
+            series.append((algorithm, ALGORITHM_COLORS[algorithm], list(zip(counts, means))))
         charts[name] = convergence_svg(f"{name} (dim {config.dim})", series)
 
     os.makedirs(os.path.join(out_dir, "plots"), exist_ok=True)

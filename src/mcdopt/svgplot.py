@@ -44,25 +44,27 @@ def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, f
     ]
 
     x_max = max(1.0, max(p[0] for p in all_points))
-    logs = [math.log10(max(p[1], _VALUE_FLOOR)) for p in all_points]
+    # max(value, _VALUE_FLOOR) without the call; a NaN passes, as through max
+    logs = [math.log10(_VALUE_FLOOR if _VALUE_FLOOR > value else value)
+            for _, value in all_points]
     y_lo = math.floor(min(logs))
     y_hi = math.ceil(max(logs))
     if y_hi <= y_lo:
         y_hi = y_lo + 1
+    y_span = y_hi - y_lo
 
     def px(nfe: float) -> float:
         return MARGIN_LEFT + nfe / x_max * plot_w
 
-    def py(value: float) -> float:
-        lg = math.log10(max(value, _VALUE_FLOOR))
-        return MARGIN_TOP + (y_hi - lg) / (y_hi - y_lo) * plot_h
+    def py(lg: float) -> float:
+        return MARGIN_TOP + (y_hi - lg) / y_span * plot_h
 
     # frame and grid
     parts.append(f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" '
                  f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>')
-    tick_step = max(1, math.ceil((y_hi - y_lo) / 6))
+    tick_step = max(1, math.ceil(y_span / 6))
     for exponent in range(y_lo, y_hi + 1, tick_step):
-        y = py(10.0 ** exponent)
+        y = py(math.log10(max(10.0 ** exponent, _VALUE_FLOOR)))
         if exponent not in (y_lo, y_hi):
             parts.append(f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y)}" '
                          f'x2="{MARGIN_LEFT + plot_w}" y2="{_fmt(y)}" '
@@ -89,9 +91,14 @@ def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, f
                  f'font-family="sans-serif" font-size="12" text-anchor="middle" '
                  f'transform="rotate(-90 18 {MARGIN_TOP + plot_h // 2})">best value</text>')
 
-    # curves
+    # curves: the text of each distinct count and value once a chart, since
+    # the series of a report share one checkpoint grid and a mean trace
+    # stays flat between improvements
+    x_text = {nfe: _fmt(px(nfe)) for nfe in {p[0] for p in all_points}}
+    value_logs = dict(zip((p[1] for p in all_points), logs))
+    y_text = {value: _fmt(py(lg)) for value, lg in value_logs.items()}
     for label, color, points in series:
-        coords = " ".join(f"{_fmt(px(n))},{_fmt(py(v))}" for n, v in points)
+        coords = " ".join(f"{x_text[nfe]},{y_text[value]}" for nfe, value in points)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
 

@@ -1,5 +1,6 @@
 """Property tests over random small budgets, dimensions and group counts,
-over generated grid configs and over damaged results directories.
+over generated DE generations, generated grid configs and damaged results
+directories.
 
 Hypothesis is derandomized, so every run checks the same examples; the
 @example rows pin the edge cases: one group, one group per dimension, a
@@ -8,21 +9,25 @@ the population (initialization is cut short and no generation runs).
 """
 
 import json
+import math
 import os
 import shutil
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcdopt import cli, mcd
-from mcdopt.benchfns import SUITE_NAMES
+from mcdopt.benchfns import SUITE_NAMES, make_function
 from mcdopt.harness import (ALGORITHMS, _META_FIELDS, ConfigError, ExperimentConfig,
                             load_config, run_grid)
-from mcdopt.baselines import CCConfig, DEConfig, cc_cycle, cc_init, run_cc, run_de
-from mcdopt.core import BudgetedEvaluator, InsufficientBudget, named_stream
+from mcdopt.baselines import (CCConfig, DEConfig, _generation_draws, _generation_on, cc_cycle,
+                              cc_init, run_cc, run_de)
+from mcdopt.core import (BudgetedEvaluator, Candidate, InsufficientBudget, NonFiniteValue,
+                         named_stream)
 
-from helpers import sphere_objective
+from helpers import Recorder, sphere_objective
 
 SETTINGS = settings(derandomize=True, deadline=None)
 
@@ -96,6 +101,119 @@ def test_mcd_spends_whole_restarts_with_monotone_trace(dim, max_iter, extra, see
     max_nfe = per_restart + extra
     outcome = mcd.run(_objective(dim, seed), max_iter, max_nfe, seed)
     _check_run(outcome, (max_nfe // per_restart) * per_restart)
+
+
+# ---------------------------------------------------------------------------
+# the wave schedule against the trial-by-trial loop
+
+# coordinates that make duplicate rows, collapsed populations, sign-only
+# moves (-0.0 == 0.0) and clamped trials at the suite box's bounds
+WAVE_COORDS = [0.0, -0.0, 1.0, -1.0, 100.0, -100.0, 37.5]
+
+
+class _Poisoned:
+    """A pure objective: `inner`'s value, but NaN at every row outside
+    `spared` whose bytes hash to 0 mod 3, so that a generation meets a
+    NaN at a drawn trial."""
+
+    pure = True
+
+    def __init__(self, inner, spared):
+        self.inner = inner
+        self.box, self.dim = inner.box, inner.dim
+        self.spared = spared
+
+    def _poisoned(self, row):
+        row = row.tobytes()
+        return row not in self.spared and zlib.crc32(row) % 3 == 0
+
+    def evaluate(self, position):
+        position = np.asarray(position, dtype=float)
+        return math.nan if self._poisoned(position) else self.inner.evaluate(position)
+
+    def evaluate_batch(self, positions):
+        values = self.inner.evaluate_batch(positions)
+        values[[self._poisoned(row) for row in positions]] = math.nan
+        return values
+
+
+@st.composite
+def wave_cases(draw):
+    n = draw(st.integers(4, 10))
+    dim = draw(st.integers(2, 6))
+    k = draw(st.integers(1, dim))
+    coords = np.array(draw(st.permutations(range(dim)))[:k])
+    row = st.lists(st.sampled_from(WAVE_COORDS), min_size=dim, max_size=dim)
+    distinct = draw(st.lists(row, min_size=1, max_size=n,
+                             unique_by=lambda r: np.array(r).tobytes()))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    # k < dim needs a context for the other coordinates
+    context = draw(st.none() | row) if k == dim else draw(row)
+    return dict(
+        rows=[distinct[i] for i in picks], coords=coords,
+        context=None if context is None else np.array(context),
+        # the budget left for the generation's n trials ends before the
+        # first, among them, or after the last
+        extra=draw(st.one_of(st.integers(n, n + 2), st.integers(1, n - 1), st.just(0))),
+        name=draw(st.sampled_from(["sphere", "rastrigin", "rosenbrock", "elliptic-group"])),
+        seed=draw(st.integers(0, 2**16)), poisoned=draw(st.booleans()))
+
+
+def _wave_outcome(objective, case):
+    """One generation on `objective`: its return value or exception, the
+    population, evaluator and generator as it leaves them, the rows it
+    charged and speculated, and whether a funded trial had an earlier donor
+    that was accepted with a row that moved (differs in some bit, in the
+    generation's coordinates, from its target's start row)."""
+    rows = [np.array(r) for r in case["rows"]]
+    n, coords = len(rows), case["coords"]
+    ev = BudgetedEvaluator(objective, n + case["extra"])
+    population = [Candidate(r, ev.evaluate(r)) for r in rows]
+    cfg = DEConfig(pop_size=n)
+    rng = named_stream(case["seed"], "wave-gen")
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    donors = _generation_draws(twin, n, coords.size, min(n, ev.remaining + 1), cfg)[0]
+    funded = min(n, ev.remaining)
+    charged, speculated = ev.used_nfe, ev.speculated
+    try:
+        result = _generation_on(population, coords, case["context"], cfg, ev, rng)
+    except NonFiniteValue as exc:
+        result = (type(exc), str(exc))
+    moved = [c.position[coords].tobytes() != r[coords].tobytes()
+             for c, r in zip(population, rows)]
+    stirred = any(moved[d] for j in range(funded) for d in donors[j].tolist() if d < j)
+    state = ([(c.position.tobytes(), c.value) for c in population],
+             ev.used_nfe, ev.trace, rng.bit_generator.state)
+    return result, state, ev.used_nfe - charged, ev.speculated - speculated, stirred
+
+
+@settings(SETTINGS, max_examples=300)
+@given(wave_cases())
+@example(dict(rows=[[1.0, -0.0]] * 5, coords=np.array([0, 1]), context=None, extra=5,
+              name="sphere", seed=0, poisoned=False))  # collapsed: one wave, no rebuild
+@example(dict(rows=[[1.0, 0.0], [-1.0, 100.0], [37.5, -100.0], [0.0, 1.0]],
+              coords=np.array([1]), context=np.array([-0.0, 37.5]), extra=2,
+              name="rosenbrock", seed=3, poisoned=False))  # a budget cut mid-generation
+def test_the_wave_schedule_equals_the_trial_by_trial_loop(case):
+    """`_generation_on` on a pure objective (speculative waves) and through a
+    wrapper without `pure` (one `evaluate` a trial) leave the same bits.
+
+    Both are package paths, so a bug they share passes here;
+    `helpers.reference_generation` stays the independent oracle."""
+    fn = make_function(case["name"], len(case["rows"][0]), case["seed"])
+    if case["poisoned"]:
+        fn = _Poisoned(fn, {np.array(r).tobytes() for r in case["rows"]})
+    result, state, charged, speculated, stirred = _wave_outcome(fn, case)
+    loop_result, loop_state, _, loop_speculated, _ = _wave_outcome(Recorder(fn), case)
+    assert (result, state) == (loop_result, loop_state)
+    assert loop_speculated == 0
+    if isinstance(result, bool):
+        # a trial is built again at most once, and only after an earlier
+        # donor was accepted with a row that moved
+        assert speculated <= 2 * charged
+        if not stirred:
+            assert speculated == charged
 
 
 # ---------------------------------------------------------------------------
