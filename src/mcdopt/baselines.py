@@ -410,7 +410,6 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
         points = np.tile(context, (trials, 1))
         points[:, coords] = rows
     accepted = [False] * n  # trial i replaced its target
-    triples = donors.tolist()
 
     def rebuild(at: np.ndarray, picks: np.ndarray) -> np.ndarray:
         """Build the rows of the trials `at` again from the rows `picks` of
@@ -423,8 +422,8 @@ def _generation_on(population: list[Candidate], coords: np.ndarray,
         block[:, coords] = fresh
         return block
 
-    if not getattr(ev.objective, "pure", False):
-        for i, triple in enumerate(triples):
+    if not ev.pure:
+        for i, triple in enumerate(donors.tolist()):
             point = points[i]
             sources = [d + n if accepted[d] else d for d in triple]  # only d < i is settled
             if sources != triple:

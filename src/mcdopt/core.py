@@ -9,8 +9,8 @@ or by the objective's own `evaluate` (and `evaluate_batch`) when its class
 sets `checks_bounds = True` (as `BenchFunction` does). An objective whose
 class sets `pure = True` (as `BenchFunction` does) may also be evaluated
 ahead of charging: the evaluator returns a block's values uncharged, and
-each row counts only when it is committed. A budget and a stream seed follow
-one whole-number rule, `_whole_number`.
+each row counts only when it is committed. A budget, a lane plan's counts and
+a stream seed follow one whole-number rule, `_whole_number`.
 """
 
 from __future__ import annotations
@@ -44,13 +44,16 @@ class InsufficientBudget(OptimizationError):
     """The evaluation budget cannot fund even one unit of planned work."""
 
 
-def _whole_number(value, name: str) -> int:
-    """`value` as an int: an integer or a finite float with no fraction. A bool,
-    a fraction, a non-finite number or a string raises ValueError."""
+def _whole_number(value, name: str, least: Optional[int] = None) -> int:
+    """`value` as an int: an integer or a finite float with no fraction, not
+    below `least` when one is given. A bool, a fraction, a non-finite number,
+    a string or a value below `least` raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
             isinstance(value, numbers.Integral)
             or (math.isfinite(value) and value == math.floor(value))):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
     return int(value)
 
 
@@ -163,15 +166,14 @@ class BudgetedEvaluator:
     `evaluate_batch` only: `evaluate` and `commit` raise ValueError and
     charge nothing.
 
+    `pure` is the objective's `pure` flag (False when its class sets none).
     `speculate` evaluates a pure objective's block without charging it, and
     `commit` charges one row with its value under the rules of `evaluate`,
     which is itself an objective call followed by a commit.
     """
 
     def __init__(self, objective, max_nfe: int):
-        max_nfe = _whole_number(max_nfe, "max_nfe")
-        if max_nfe < 1:
-            raise ValueError("max_nfe must be at least 1")
+        max_nfe = _whole_number(max_nfe, "max_nfe", 1)
         self.objective = objective
         self.max_nfe = max_nfe
         self.used_nfe = 0
@@ -179,7 +181,7 @@ class BudgetedEvaluator:
         self.trace: list[tuple[int, float]] = []
         self.speculated = 0
         self._check_bounds = not getattr(objective, "checks_bounds", False)
-        self._pure = getattr(objective, "pure", False)
+        self.pure = getattr(objective, "pure", False)
         self._batch = getattr(objective, "evaluate_batch", None)
         self._lanes: Optional[_Lanes] = None
 
@@ -206,7 +208,7 @@ class BudgetedEvaluator:
         passes `evaluate_batch`'s shape and bounds check; a NaN value is
         returned as it is, for `commit` to refuse.
         """
-        if not self._pure:
+        if not self.pure:
             raise ValueError("only a pure objective is evaluated uncharged")
         p = self._block(positions)
         values = self._values(p)
@@ -240,9 +242,12 @@ class BudgetedEvaluator:
         """Reserve the next `count * length` evaluations as `count` lanes of
         `length` evaluations each, for `evaluate_batch` to fill in lockstep:
         lane k stands for evaluations `used_nfe + k * length + 1` through
-        `used_nfe + (k + 1) * length` of the sequential run."""
+        `used_nfe + (k + 1) * length` of the sequential run. Both counts are
+        whole numbers of at least 1."""
         if self._lanes is not None:
             raise ValueError("the lanes planned earlier are not full yet")
+        count = _whole_number(count, "count")
+        length = _whole_number(length, "length")
         if count < 1 or length < 1:
             raise ValueError("lanes need a count and a length of at least 1")
         if count * length > self.remaining:

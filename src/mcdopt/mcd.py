@@ -26,6 +26,7 @@ from .core import (
     BudgetedEvaluator,
     Candidate,
     InsufficientBudget,
+    _whole_number,
     named_stream,
 )
 
@@ -34,8 +35,12 @@ def restart_plan(dim: int, max_iter: int, max_nfe: int) -> int:
     """How many restarts of exactly 2 * dim * max_iter evaluations a budget
     funds; the remainder of the budget is left unspent.
 
-    Raises InsufficientBudget when not even one restart fits.
+    Each count must be a whole number (`_whole_number`) of at least 1, else
+    ValueError; raises InsufficientBudget when not even one restart fits.
     """
+    dim = _whole_number(dim, "dim")
+    max_iter = _whole_number(max_iter, "max_iter")
+    max_nfe = _whole_number(max_nfe, "max_nfe")
     if dim < 1 or max_iter < 1 or max_nfe < 1:
         raise ValueError("dim, max_iter and max_nfe must all be at least 1")
     per_restart = 2 * dim * max_iter
@@ -138,6 +143,7 @@ def run(objective, max_iter: int, max_nfe: int, seed: int,
     """
     dim = objective.dim
     ev = BudgetedEvaluator(objective, max_nfe)
+    max_iter = _whole_number(max_iter, "max_iter")
     restarts = restart_plan(dim, max_iter, ev.max_nfe)
     if permutations is None:
         perm_rng = named_stream(seed, "perm")

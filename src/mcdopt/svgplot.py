@@ -64,7 +64,7 @@ def convergence_svg(title: str, series: list[tuple[str, str, list[tuple[float, f
                  f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>')
     tick_step = max(1, math.ceil(y_span / 6))
     for exponent in range(y_lo, y_hi + 1, tick_step):
-        y = py(math.log10(max(10.0 ** exponent, _VALUE_FLOOR)))
+        y = py(exponent)
         if exponent not in (y_lo, y_hi):
             parts.append(f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y)}" '
                          f'x2="{MARGIN_LEFT + plot_w}" y2="{_fmt(y)}" '

@@ -110,10 +110,18 @@ class TestBudgetedEvaluator:
         with pytest.raises(ValueError):
             BudgetedEvaluator(sphere_objective(2), 0)
 
-    @pytest.mark.parametrize("max_nfe", [1.5, 10.7, True, math.inf, -math.inf, math.nan, "10"])
+    @pytest.mark.parametrize("max_nfe", [1.5, 3.5, 10.7, True, math.inf, -math.inf, math.nan,
+                                         "10"])
     def test_rejects_budgets_that_are_no_whole_number(self, max_nfe):
         with pytest.raises(ValueError, match="max_nfe must be a whole number"):
             BudgetedEvaluator(sphere_objective(2), max_nfe)
+        # a lane plan's counts follow the same rule; 3.5 lanes could never fill
+        ev = BudgetedEvaluator(sphere_objective(2), 100)
+        with pytest.raises(ValueError, match="count must be a whole number"):
+            ev.plan_lanes(max_nfe, 3)
+        with pytest.raises(ValueError, match="length must be a whole number"):
+            ev.plan_lanes(2, max_nfe)
+        ev.plan_lanes(2.0, 3)
 
     @pytest.mark.parametrize("run", [
         lambda obj, max_nfe: run_de(obj, max_nfe, 0),

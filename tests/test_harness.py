@@ -339,6 +339,22 @@ def _mini_config(out_dir):
     )
 
 
+def _cc7_config(out_dir):
+    # cc at dim 7 in groups of 2, 2 and 3: a run's read-ahead of draws stops
+    # at every change of group size
+    return ExperimentConfig(
+        algorithms=["cc", "de"],
+        functions=["sphere", "rastrigin"],
+        dim=7,
+        max_nfe=700,
+        repeats=2,
+        cc_groups=3,
+        cc_pop_size=6,
+        de_pop_size=5,
+        output_dir=str(out_dir),
+    )
+
+
 def _read_bytes(path):
     with open(path, "rb") as handle:
         return handle.read()
@@ -444,9 +460,10 @@ class TestRunGrid:
         report_from_dir(str(out))
         assert _read_bytes(out / "summary.json") == before
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        run_grid(_mini_config(tmp_path / "one"))
-        run_grid(_mini_config(tmp_path / "two"))
+    @pytest.mark.parametrize("make_config", [_mini_config, _cc7_config])
+    def test_rerun_is_byte_identical(self, tmp_path, make_config):
+        run_grid(make_config(tmp_path / "one"))
+        run_grid(make_config(tmp_path / "two"))
         first = _collect_outputs(tmp_path / "one")
         second = _collect_outputs(tmp_path / "two")
         assert first.keys() == second.keys()
@@ -898,6 +915,21 @@ class TestCli:
         assert not (out / "summary.json").exists()
         assert not (out / "plots").exists()
 
+    def test_report_charts_a_value_near_the_largest_float(self, tmp_path):
+        # the chart's top tick is 1e309, a power of ten past the largest float
+        config = _mini_config(tmp_path / "out")
+        config.algorithms = ["de"]
+        config.functions = ["sphere"]
+        config.repeats = 1
+        config.trace_grid = [1]
+        run_grid(config)
+        out = tmp_path / "out"
+        path = out / "traces" / "de__sphere__seed11.csv"
+        header, _, rest = _read_bytes(path).decode().split("\n", 2)
+        _write(path, f"{header}\n1,1.7e+308\n{rest}")
+        assert cli.main(["report", "--in", str(out)]) == 0
+        assert ">1e309<" in _read_bytes(out / "plots" / "sphere.svg").decode()
+
     def test_crashed_rerun_leaves_a_directory_report_rejects(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         config = _mini_config(out)
@@ -956,7 +988,8 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["run", "--config", config_path]) == 2
         assert "output_dir must not be empty" in capsys.readouterr().err
-        assert open(sentinel, encoding="utf-8").read() == "not a grid\n"
+        with open(sentinel, encoding="utf-8") as handle:
+            assert handle.read() == "not a grid\n"
         assert sorted(os.listdir(tmp_path)) == ["grid.cfg", "meta.json"]
 
     def test_suite_dim_too_small(self, tmp_path):

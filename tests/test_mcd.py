@@ -1,5 +1,7 @@
 """Tests for the folding coordinate-descent optimizer."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,13 +28,18 @@ class TestRestartPlan:
                            match="needs at least 200 evaluations for dim 10 and max_iter 10"):
             restart_plan(10, 10, 199)
 
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
-            restart_plan(0, 1, 10)
-        with pytest.raises(ValueError):
-            restart_plan(1, 0, 10)
-        with pytest.raises(ValueError):
-            restart_plan(1, 1, 0)
+    @pytest.mark.parametrize("count", [0, -1, 1.5, True, math.inf, math.nan, "10"])
+    def test_rejects_counts_that_are_not_whole_numbers_of_at_least_1(self, count):
+        below = isinstance(count, int) and not isinstance(count, bool)
+        calls = [("dim", lambda: restart_plan(count, 10, 100)),
+                 ("max_iter", lambda: restart_plan(10, count, 100)),
+                 ("max_nfe", lambda: restart_plan(10, 10, count)),
+                 # run spends max_iter as an int, so True is no longer taken for 1
+                 ("max_iter", lambda: run(sphere_objective(4), count, 400, 0))]
+        for name, call in calls:
+            rule = "must all be at least 1" if below else f"{name} must be a whole number"
+            with pytest.raises(ValueError, match=rule):
+                call()
 
 
 class TestInitCenter:
